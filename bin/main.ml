@@ -59,8 +59,8 @@ let specialize_arg =
     "Tier B executor specialization: compile each frozen schedule into a \
      straight-line native executor (ocamlopt -shared + Dynlink) and run \
      that instead of the interpreted walk. Equivalent to \
-     RTRT_SPECIALIZE=1. Falls back to the shape-specialized executor when \
-     no OCaml toolchain is available. Compiled modules are cached on disk \
+     RTRT_SPECIALIZE=1. Falls back to the interpreted walk when no OCaml \
+     toolchain is available or a compile fails. Compiled modules are cached on disk \
      and verified bitwise against the interpreted executor."
   in
   Arg.(value & flag & info [ "specialize" ] ~doc)

@@ -218,7 +218,7 @@ let full_report (st : Symbolic.state) ~(program : Symbolic.program) =
    schedule) pair: row bounds constant-folded into literals, each
    row's runs of consecutive iterations unrolled into [for lo to hi]
    range loops, loop bodies inlined at every site, no schedule
-   indirection at all for run-shaped rows. The module depends only on
+   indirection at all for rows with few runs. The module depends only on
    Stdlib and hands its executor to the host through
    [Callback.register] (see Compose.Specialize for the compile /
    Dynlink / cache pipeline and the array-order convention).
@@ -340,17 +340,29 @@ let spec_tables :
    constant-folded row bounds (still no row_ptr loads). *)
 let inline_runs_max = 8
 
+(* The maximal runs of consecutive ids in the non-empty row
+   [items.(lo) .. items.(hi - 1)] as [(first, last)] pairs, or [None]
+   as soon as there are more than [inline_runs_max]. A delta other
+   than +1 ends a run, so the runs replay the row exactly. *)
+let row_runs items lo hi =
+  let rec go i first acc n =
+    if i = hi then Some (List.rev ((first, items.(hi - 1)) :: acc))
+    else if items.(i) = items.(i - 1) + 1 then go (i + 1) first acc n
+    else if n = inline_runs_max then None
+    else go (i + 1) items.(i) ((first, items.(i - 1)) :: acc) (n + 1)
+  in
+  go (lo + 1) items.(lo) [] 1
+
 (* Big enough for a few thousand rows with the heavier kernel bodies
    (a bench-scale moldyn schedule emits ~600 B/row); schedules past
-   this fall back to Tier A rather than paying a multi-minute
-   compile. *)
+   this fall back to the interpreted walk rather than paying a
+   multi-minute compile. *)
 let default_max_source_bytes = 1 lsl 21 (* 2 MiB *)
 
 let specialized_source ?(max_bytes = default_max_source_bytes) ~kernel ~key
-    (sched : Reorder.Schedule.t) (shape : Reorder.Shape.t) =
+    (sched : Reorder.Schedule.t) =
   match List.assoc_opt kernel spec_tables with
   | None -> None
-  | Some _ when not (Reorder.Shape.for_schedule shape sched) -> None
   | Some (int_names, float_names, chain, body) ->
     let b = Buffer.create 16384 in
     let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
@@ -369,11 +381,9 @@ let specialized_source ?(max_bytes = default_max_source_bytes) ~kernel ~key
       float_names;
     add "  for _s = 1 to steps do\n";
     let row_ptr = Reorder.Schedule.row_ptr sched in
+    let items = Reorder.Schedule.flat_items sched in
     let n_tiles = Reorder.Schedule.n_tiles sched in
     let n_loops = Reorder.Schedule.n_loops sched in
-    let rq = Reorder.Shape.run_ptr shape in
-    let rlo = Reorder.Shape.run_lo shape in
-    let rln = Reorder.Shape.run_len shape in
     let over_budget = ref false in
     (try
        for t = 0 to n_tiles - 1 do
@@ -383,29 +393,28 @@ let specialized_source ?(max_bytes = default_max_source_bytes) ~kernel ~key
            let emit_body indent =
              List.iter (fun l -> add "%s  %s\n" indent l) body_lines
            in
-           let klo = rq.(r) and khi = rq.(r + 1) in
-           if khi > klo then begin
-             if khi - klo <= inline_runs_max then
-               for k = klo to khi - 1 do
-                 let lo = rlo.(k) in
-                 let hi = lo + rln.(k) - 1 in
-                 if lo = hi then begin
-                   add "    (let v = %d in\n" lo;
-                   emit_body "    ";
-                   add "    );\n"
-                 end
-                 else begin
-                   add "    for v = %d to %d do\n" lo hi;
-                   emit_body "    ";
-                   add "    done;\n"
-                 end
-               done
-             else begin
-               add "    for idx = %d to %d do\n" row_ptr.(r) (row_ptr.(r + 1) - 1);
+           let ilo = row_ptr.(r) and ihi = row_ptr.(r + 1) in
+           if ihi > ilo then begin
+             (match row_runs items ilo ihi with
+             | Some runs ->
+               List.iter
+                 (fun (lo, hi) ->
+                   if lo = hi then begin
+                     add "    (let v = %d in\n" lo;
+                     emit_body "    ";
+                     add "    );\n"
+                   end
+                   else begin
+                     add "    for v = %d to %d do\n" lo hi;
+                     emit_body "    ";
+                     add "    done;\n"
+                   end)
+                 runs
+             | None ->
+               add "    for idx = %d to %d do\n" ilo (ihi - 1);
                add "      let v = Array.unsafe_get items idx in\n";
                emit_body "    ";
-               add "    done;\n"
-             end;
+               add "    done;\n");
              if Buffer.length b > max_bytes then begin
                over_budget := true;
                raise Exit

@@ -39,15 +39,16 @@ val full_report : Symbolic.state -> program:Symbolic.program -> string
     runs of consecutive iterations emitted as literal range loops, loop
     bodies inlined at every site. [kernel] is one of ["moldyn"],
     ["nbf"], ["irreg"], ["gs"]; the executor is handed to the host via
-    [Callback.register ("rtrt.spec." ^ key)]. [None] when the kernel is
-    unknown, the shape was not built from [sched], or the source would
-    exceed [max_bytes] (default 2 MiB) — callers fall back to the
-    Tier A shaped walk. See {!Specialize} for the compile / load / cache
-    pipeline and the executor's array-order convention. *)
+    [Callback.register ("rtrt.spec." ^ key)]. Rows with at most 8 runs
+    become literal [for lo to hi] loops; denser rows keep one
+    items-driven loop over constant row bounds. [None] when the kernel
+    is unknown or the source would exceed [max_bytes] (default 2 MiB)
+    — callers fall back to the interpreted walk. See {!Specialize}
+    for the compile / load / cache pipeline and the executor's
+    array-order convention. *)
 val specialized_source :
   ?max_bytes:int ->
   kernel:string ->
   key:string ->
   Reorder.Schedule.t ->
-  Reorder.Shape.t ->
   string option

@@ -42,10 +42,6 @@ type result = {
      compile-time formulas can be evaluated against the run-time
      output. *)
   reordering_fns : (string * Perm.t) list;
-  (* Plan-time shape analysis of the schedule — what the staged
-     executor specialization keys its tier choice on. Cached with the
-     plan; a warm replay surfaces the stored summary. *)
-  shape_summary : Shape.summary option;
 }
 
 let invalid fmt = Fmt.kstr invalid_arg fmt
@@ -343,15 +339,6 @@ let replay (entry : Rtrt_plancache.Cache.entry) (kernel : Kernels.Kernel.t) =
     inspector_seconds = seconds;
     n_data_remaps = remaps;
     reordering_fns = entry.reordering_fns;
-    shape_summary =
-      (* Old disk entries carry no summary; recompute so warm replays
-         still feed the tier choice. *)
-      (match entry.shape_summary with
-      | Some _ as sm -> sm
-      | None ->
-        Option.map
-          (fun s -> Shape.summary (Shape.analyze s))
-          entry.schedule);
   }
 
 let run ?cache ?pool ?(strategy = Remap_once) ?(share_symmetric_deps = true)
@@ -588,8 +575,6 @@ let run ?cache ?pool ?(strategy = Remap_once) ?(share_symmetric_deps = true)
     inspector_seconds = seconds;
     n_data_remaps = walk.remaps;
     reordering_fns = List.rev walk.fns;
-    shape_summary =
-      Option.map (fun s -> Shape.summary (Shape.analyze s)) walk.schedule;
   }
   in
   match cache with
@@ -626,7 +611,6 @@ let run ?cache ?pool ?(strategy = Remap_once) ?(share_symmetric_deps = true)
           Rtrt_plancache.Cache.sigma_total = r.sigma_total;
           delta_total = r.delta_total;
           schedule = r.schedule;
-          shape_summary = r.shape_summary;
           reordering_fns = r.reordering_fns;
           n_data_remaps = r.n_data_remaps;
           cold_inspector_seconds = r.inspector_seconds;

@@ -28,10 +28,6 @@ type result = {
           layer names it (sigma_cp, delta_lg, sigma_cp2, ...), so
           compile-time formulas can be evaluated against run-time
           output *)
-  shape_summary : Reorder.Shape.summary option;
-      (** plan-time shape analysis of [schedule], for the staged
-          executor tier choice; cached with the plan and surfaced
-          (stored or recomputed) on warm replays *)
 }
 
 (** The plan-cache key for an inspection: a stable hash of the

@@ -284,8 +284,6 @@ let result_of state ~kernel ~sched ~remaps ~seconds =
     inspector_seconds = seconds;
     n_data_remaps = remaps;
     reordering_fns = f.fns;
-    shape_summary =
-      Option.map (fun s -> Shape.summary (Shape.analyze s)) sched;
   }
 
 (* ---- regrow: the bit-identity reference --------------------------- *)
@@ -556,7 +554,6 @@ let repair ?cache ?pool ?(policy = `Auto) ?(verify = false) state
               Rtrt_plancache.Cache.sigma_total = f.sigma;
               delta_total = f.delta;
               schedule = sched';
-              shape_summary = result.Inspector.shape_summary;
               reordering_fns = f.fns;
               n_data_remaps = remaps;
               cold_inspector_seconds = result.Inspector.inspector_seconds;

@@ -60,11 +60,9 @@
     stored under their own {!fingerprint} — the cold ingredients of
     the churned kernel plus a repair tag and the frozen reorderings —
     so they never shadow what a cold inspection of the same kernel
-    would cache. The result carries a freshly recomputed
-    {!Reorder.Shape} summary, and the spliced schedule is a new value
-    (fresh [items]/[row_ptr]), so Tier A shape indexes pinned to the
-    old schedule ([Shape.for_schedule]) and Tier B [.cmxs] caches
-    (keyed by schedule content) can never serve stale specializations.
+    would cache. The spliced schedule has new content, so Tier B
+    [.cmxs] caches (keyed by schedule content) can never serve stale
+    specializations.
 
     Observability: counters [repair.rounds], [repair.fallbacks_cold],
     [repair.nodes_recomputed], [repair.tiles_moved],

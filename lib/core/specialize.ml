@@ -1,10 +1,6 @@
 (* Staged executor specialization over a frozen schedule (ROADMAP
-   item 2). Two tiers above the interpreted flat-CSR walk:
-
-   - Tier A (Shaped, always on when profitable): the plan-time
-     {!Reorder.Shape} analysis builds a run-length index once per
-     schedule and the kernels' [run_tiled_shaped] executors stream it
-     as [for lo to hi] ranges instead of loading iteration ids.
+   item 2). The default executor is the kernels' interpreted flat-CSR
+   walk ([run_tiled]); one tier sits above it:
 
    - Tier B (Codegen, opt-in via [--specialize] / RTRT_SPECIALIZE):
      {!Codegen.specialized_source} emits a straight-line OCaml module
@@ -25,11 +21,11 @@
    runs it against the interpreted walk without disturbing the real
    state.
 
-   Both tiers are bitwise identical to [run_tiled]; [make] asserts
-   this on two-step copies by default, the same way rtrt_par asserts
-   parallel-vs-serial equivalence. Every downgrade (no toolchain,
-   compile failure, source-budget overflow, unprofitable shape) is
-   graceful and counted in [specialize.fallbacks]. *)
+   The compiled executor is bitwise identical to [run_tiled]; [make]
+   asserts this on two-step copies by default, the same way rtrt_par
+   asserts parallel-vs-serial equivalence. Every downgrade (no
+   toolchain, compile failure, source-budget overflow) is graceful and
+   counted in [specialize.fallbacks]. *)
 
 type tier = Interp | Shaped | Codegen
 
@@ -42,12 +38,10 @@ let tier_level = function Interp -> 0. | Shaped -> 1. | Codegen -> 2.
 
 type t = {
   tier : tier;
-  shape : Reorder.Shape.t;
-  summary : Reorder.Shape.summary;
   run : steps:int -> unit;
   compile_seconds : float;
       (** Tier B out-of-process compile time; 0 on a cache hit or for
-          the other tiers. *)
+          [Interp]. *)
   cmxs_cache_hit : bool;
   key : string;  (** 16-hex-digit schedule fingerprint. *)
 }
@@ -56,7 +50,6 @@ type t = {
 (* Observability *)
 
 let g_tier = Rtrt_obs.Metrics.gauge "specialize.tier"
-let g_runs = Rtrt_obs.Metrics.gauge "specialize.runs_detected"
 let g_compile_ns = Rtrt_obs.Metrics.gauge "specialize.compile_ns"
 let c_compiles = Rtrt_obs.Metrics.counter "specialize.compiles"
 let c_cmxs_hits = Rtrt_obs.Metrics.counter "specialize.cmxs_cache_hits"
@@ -152,6 +145,8 @@ let load_cmxs cmxs key =
     fetch_exec key
   with Dynlink.Error _ | Sys_error _ -> None
 
+let remove_quietly path = try Sys.remove path with Sys_error _ -> ()
+
 (* Compile [source] (or reuse the cached .cmxs) and return the
    executor with its compile time and whether the disk cache hit. *)
 let compile_and_load ~kernel ~key source : (exec * float * bool) option =
@@ -163,7 +158,7 @@ let compile_and_load ~kernel ~key source : (exec * float * bool) option =
     let dir = cache_dir () in
     mkdir_p dir;
     let stem = Filename.concat dir (Printf.sprintf "spec_%s_%s" kernel key) in
-    let ml = stem ^ ".ml" and cmxs = stem ^ ".cmxs" in
+    let cmxs = stem ^ ".cmxs" in
     let from_disk =
       if Sys.file_exists cmxs then
         match load_cmxs cmxs key with
@@ -181,18 +176,28 @@ let compile_and_load ~kernel ~key source : (exec * float * bool) option =
       match find_compiler () with
       | None -> None
       | Some cc -> (
+        (* Every file the compile writes is private to this process
+           (pid suffix; ocamlopt also drops .cmx/.cmi/.o next to the
+           source), and only the finished .cmxs is renamed onto the
+           shared name, so concurrent processes never load a partly
+           written module. *)
+        let scratch = Printf.sprintf "%s_%d" stem (Unix.getpid ()) in
+        let ml = scratch ^ ".ml" and tmp = scratch ^ ".tmp.cmxs" in
+        let log = scratch ^ ".log" in
         write_file ml source;
-        (* Compile to a temp name and rename so concurrent processes
-           only ever see complete .cmxs files. *)
-        let tmp = stem ^ ".tmp.cmxs" and log = stem ^ ".log" in
         let cmd =
           Printf.sprintf "%s -shared -w -a -o %s %s >%s 2>&1" cc
             (Filename.quote tmp) (Filename.quote ml) (Filename.quote log)
         in
         let rc, secs = Rtrt_obs.Clock.time (fun () -> Sys.command cmd) in
-        if rc <> 0 then None
+        List.iter remove_quietly
+          [ ml; log; scratch ^ ".cmx"; scratch ^ ".cmi"; scratch ^ ".o" ];
+        if rc <> 0 then begin
+          remove_quietly tmp;
+          None
+        end
         else begin
-          (try Sys.rename tmp cmxs with Sys_error _ -> ());
+          (try Sys.rename tmp cmxs with Sys_error _ -> remove_quietly tmp);
           Rtrt_obs.Metrics.incr c_compiles;
           Rtrt_obs.Metrics.set g_compile_ns (secs *. 1e9);
           match load_cmxs cmxs key with
@@ -231,125 +236,90 @@ let bits_equal (a : float array) (b : float array) =
   !ok
 
 (* -------------------------------------------------------------- *)
+(* Tier choice *)
+
+(* Verification steps: enough to cover every chain class and catch
+   order-of-visit divergence, cheap enough to run by default. *)
+let verify_steps = 2
+
+(* The tier choice shared by every kernel: [interp] is the reference
+   walk on the live state; [source ()] the Tier B module, if the
+   emitter accepts the pair; [bind exec] runs a compiled executor on
+   the live state; [check exec] runs it on a state copy and raises on
+   any bitwise divergence from the reference walk. *)
+let select ?tier_b ~verify ~kernel ~key ~interp ~source ~bind ~check () =
+  let want_b = match tier_b with Some b -> b | None -> enabled () in
+  let compiled =
+    if want_b then Option.bind (source ()) (compile_and_load ~kernel ~key)
+    else None
+  in
+  let result =
+    match compiled with
+    | Some (exec, compile_seconds, cmxs_cache_hit) ->
+      if verify then check exec;
+      { tier = Codegen; run = bind exec; compile_seconds; cmxs_cache_hit; key }
+    | None ->
+      if want_b then Rtrt_obs.Metrics.incr c_fallbacks;
+      {
+        tier = Interp;
+        run = interp;
+        compile_seconds = 0.;
+        cmxs_cache_hit = false;
+        key;
+      }
+  in
+  Rtrt_obs.Metrics.set g_tier (tier_level result.tier);
+  result
+
+let diverged ~kernel ~key ~reference =
+  failwith
+    (Printf.sprintf "Specialize: codegen tier diverged bitwise from %s (%s/%s)"
+       reference kernel key)
+
+(* -------------------------------------------------------------- *)
 (* Kernel.t kernels (moldyn / nbf / irreg) *)
 
 let exec_args (kernel : Kernels.Kernel.t) sched =
   let ia, fa = kernel.Kernels.Kernel.exec_arrays () in
   (Array.append ia [| Reorder.Schedule.flat_items sched |], fa)
 
-let finish ~verify_run result =
-  (match result.tier with
-  | Interp -> ()
-  | Shaped | Codegen -> verify_run result);
-  Rtrt_obs.Metrics.set g_tier (tier_level result.tier);
-  Rtrt_obs.Metrics.set g_runs (float_of_int result.summary.Reorder.Shape.runs);
-  result
-
-(* Verification steps: enough to cover every chain class and catch
-   order-of-visit divergence, cheap enough to run by default. *)
-let verify_steps = 2
+let kernel_key (kernel : Kernels.Kernel.t) sched =
+  schedule_key ~kernel:kernel.Kernels.Kernel.name
+    ~n_nodes:kernel.Kernels.Kernel.n_nodes
+    ~n_inter:kernel.Kernels.Kernel.n_inter sched
 
 let make ?tier_b ?(verify = true) (kernel : Kernels.Kernel.t)
     (sched : Reorder.Schedule.t) =
-  let shape = Reorder.Shape.analyze sched in
-  let summary = Reorder.Shape.summary shape in
-  let key =
-    schedule_key ~kernel:kernel.Kernels.Kernel.name
-      ~n_nodes:kernel.Kernels.Kernel.n_nodes
-      ~n_inter:kernel.Kernels.Kernel.n_inter sched
+  let name = kernel.Kernels.Kernel.name in
+  let key = kernel_key kernel sched in
+  let source () =
+    let ia, _ = kernel.Kernels.Kernel.exec_arrays () in
+    if
+      Reorder.Schedule.check_fits sched
+        ~loop_sizes:kernel.Kernels.Kernel.loop_sizes
+      && endpoints_in_range ~n:kernel.Kernels.Kernel.n_nodes ia
+    then Codegen.specialized_source ~kernel:name ~key sched
+    else None
   in
-  let want_b = match tier_b with Some b -> b | None -> enabled () in
-  let base tier run =
-    {
-      tier;
-      shape;
-      summary;
-      run;
-      compile_seconds = 0.;
-      cmxs_cache_hit = false;
-      key;
-    }
+  let run_on (k : Kernels.Kernel.t) exec ~steps =
+    let ia, fa = exec_args k sched in
+    exec ia fa steps
   in
-  let shaped () =
-    if Reorder.Shape.profitable summary then
-      base Shaped (fun ~steps ->
-          kernel.Kernels.Kernel.run_tiled_shaped sched shape ~steps)
-    else base Interp (fun ~steps -> kernel.Kernels.Kernel.run_tiled sched ~steps)
-  in
-  let codegen () =
+  let check exec =
+    let reference = kernel.Kernels.Kernel.copy () in
+    let candidate = kernel.Kernels.Kernel.copy () in
+    reference.Kernels.Kernel.run_tiled sched ~steps:verify_steps;
+    run_on candidate exec ~steps:verify_steps;
     if
       not
-        (Reorder.Schedule.check_fits sched
-           ~loop_sizes:kernel.Kernels.Kernel.loop_sizes)
-    then None
-    else
-      let ia, _ = kernel.Kernels.Kernel.exec_arrays () in
-      if not (endpoints_in_range ~n:kernel.Kernels.Kernel.n_nodes ia) then None
-      else
-        match
-          Codegen.specialized_source ~kernel:kernel.Kernels.Kernel.name ~key
-            sched shape
-        with
-        | None -> None
-        | Some source -> (
-          match compile_and_load ~kernel:kernel.Kernels.Kernel.name ~key source with
-          | None -> None
-          | Some (exec, compile_seconds, cmxs_cache_hit) ->
-            Some
-              {
-                tier = Codegen;
-                shape;
-                summary;
-                run =
-                  (fun ~steps ->
-                    let ia, fa = exec_args kernel sched in
-                    exec ia fa steps);
-                compile_seconds;
-                cmxs_cache_hit;
-                key;
-              })
+        (Kernels.Kernel.snapshots_equal_bits
+           (reference.Kernels.Kernel.snapshot ())
+           (candidate.Kernels.Kernel.snapshot ()))
+    then diverged ~kernel:name ~key ~reference:"run_tiled"
   in
-  let result =
-    if not want_b then shaped ()
-    else
-      match codegen () with
-      | Some r -> r
-      | None ->
-        Rtrt_obs.Metrics.incr c_fallbacks;
-        shaped ()
-  in
-  let verify_run r =
-    if verify then begin
-      let reference = kernel.Kernels.Kernel.copy () in
-      let candidate = kernel.Kernels.Kernel.copy () in
-      reference.Kernels.Kernel.run_tiled sched ~steps:verify_steps;
-      (match r.tier with
-      | Interp -> ()
-      | Shaped ->
-        candidate.Kernels.Kernel.run_tiled_shaped sched shape
-          ~steps:verify_steps
-      | Codegen -> (
-        match
-          compile_and_load ~kernel:kernel.Kernels.Kernel.name ~key
-            "(* cached *)"
-        with
-        | Some (exec, _, _) ->
-          let ia, fa = exec_args candidate sched in
-          exec ia fa verify_steps
-        | None -> failwith "Specialize: compiled executor vanished"));
-      if
-        not
-          (Kernels.Kernel.snapshots_equal_bits
-             (reference.Kernels.Kernel.snapshot ())
-             (candidate.Kernels.Kernel.snapshot ()))
-      then
-        failwith
-          (Printf.sprintf
-             "Specialize: %s tier diverged bitwise from run_tiled (%s/%s)"
-             (tier_name r.tier) kernel.Kernels.Kernel.name r.key)
-    end
-  in
-  finish ~verify_run result
+  select ?tier_b ~verify ~kernel:name ~key
+    ~interp:(fun ~steps -> kernel.Kernels.Kernel.run_tiled sched ~steps)
+    ~source ~bind:(run_on kernel) ~check ()
 
 (* -------------------------------------------------------------- *)
 (* Gauss-Seidel (separate state type; a schedule walk is the tiling's
@@ -358,115 +328,48 @@ let make ?tier_b ?(verify = true) (kernel : Kernels.Kernel.t)
 
 let make_gs ?tier_b ?(verify = true) (t : Kernels.Gauss_seidel.t)
     (sched : Reorder.Schedule.t) =
-  let shape = Reorder.Shape.analyze sched in
-  let summary = Reorder.Shape.summary shape in
   let n = Irgraph.Csr.num_nodes t.Kernels.Gauss_seidel.graph in
   let key =
     schedule_key ~kernel:"gs" ~n_nodes:n
       ~n_inter:(Irgraph.Csr.num_arcs t.Kernels.Gauss_seidel.graph)
       sched
   in
-  let want_b = match tier_b with Some b -> b | None -> enabled () in
-  let base tier run =
-    {
-      tier;
-      shape;
-      summary;
-      run;
-      compile_seconds = 0.;
-      cmxs_cache_hit = false;
-      key;
-    }
-  in
-  let interp_walk st steps =
+  let interp_walk st ~steps =
     for _s = 1 to steps do
       Kernels.Gauss_seidel.run_sched st sched
     done
   in
-  let shaped_walk st steps =
-    for _s = 1 to steps do
-      Kernels.Gauss_seidel.run_sched_shaped st sched shape
-    done
+  let source () =
+    if Reorder.Schedule.check_fits sched ~loop_sizes:[| n |] then
+      Codegen.specialized_source ~kernel:"gs" ~key sched
+    else None
   in
-  let shaped () =
-    if Reorder.Shape.profitable summary then
-      base Shaped (fun ~steps -> shaped_walk t steps)
-    else base Interp (fun ~steps -> interp_walk t steps)
-  in
-  let gs_args st =
+  let run_on st exec =
     let ptr, adj = Kernels.Gauss_seidel.csr_arrays st.Kernels.Gauss_seidel.graph in
-    ( [| ptr; adj; Reorder.Schedule.flat_items sched |],
-      [| st.Kernels.Gauss_seidel.u; st.Kernels.Gauss_seidel.f |] )
+    let ia = [| ptr; adj; Reorder.Schedule.flat_items sched |] in
+    let fa = [| st.Kernels.Gauss_seidel.u; st.Kernels.Gauss_seidel.f |] in
+    fun ~steps -> exec ia fa steps
   in
-  let codegen () =
-    if not (Reorder.Schedule.check_fits sched ~loop_sizes:[| n |]) then None
-    else
-      match Codegen.specialized_source ~kernel:"gs" ~key sched shape with
-      | None -> None
-      | Some source -> (
-        match compile_and_load ~kernel:"gs" ~key source with
-        | None -> None
-        | Some (exec, compile_seconds, cmxs_cache_hit) ->
-          let ia, fa = gs_args t in
-          Some
-            {
-              tier = Codegen;
-              shape;
-              summary;
-              run = (fun ~steps -> exec ia fa steps);
-              compile_seconds;
-              cmxs_cache_hit;
-              key;
-            })
+  let check exec =
+    let reference = Kernels.Gauss_seidel.copy t in
+    let candidate = Kernels.Gauss_seidel.copy t in
+    interp_walk reference ~steps:verify_steps;
+    run_on candidate exec ~steps:verify_steps;
+    if
+      not
+        (bits_equal reference.Kernels.Gauss_seidel.u
+           candidate.Kernels.Gauss_seidel.u
+        && bits_equal reference.Kernels.Gauss_seidel.f
+             candidate.Kernels.Gauss_seidel.f)
+    then diverged ~kernel:"gs" ~key ~reference:"run_sched"
   in
-  let result =
-    if not want_b then shaped ()
-    else
-      match codegen () with
-      | Some r -> r
-      | None ->
-        Rtrt_obs.Metrics.incr c_fallbacks;
-        shaped ()
-  in
-  let verify_run r =
-    if verify then begin
-      let reference = Kernels.Gauss_seidel.copy t in
-      let candidate = Kernels.Gauss_seidel.copy t in
-      interp_walk reference verify_steps;
-      (match r.tier with
-      | Interp -> ()
-      | Shaped -> shaped_walk candidate verify_steps
-      | Codegen -> (
-        match compile_and_load ~kernel:"gs" ~key "(* cached *)" with
-        | Some (exec, _, _) ->
-          let ia, fa = gs_args candidate in
-          exec ia fa verify_steps
-        | None -> failwith "Specialize: compiled executor vanished"));
-      if
-        not
-          (bits_equal reference.Kernels.Gauss_seidel.u
-             candidate.Kernels.Gauss_seidel.u
-          && bits_equal reference.Kernels.Gauss_seidel.f
-               candidate.Kernels.Gauss_seidel.f)
-      then
-        failwith
-          (Printf.sprintf
-             "Specialize: %s tier diverged bitwise from run_sched (gs/%s)"
-             (tier_name r.tier) r.key)
-    end
-  in
-  finish ~verify_run result
+  select ?tier_b ~verify ~kernel:"gs" ~key ~interp:(interp_walk t) ~source
+    ~bind:(run_on t) ~check ()
 
 (* -------------------------------------------------------------- *)
 (* Source dump for [rtrt codegen --plan]: the exact Tier B module that
    would be compiled, independent of whether a toolchain exists. *)
 
 let dump_source (kernel : Kernels.Kernel.t) (sched : Reorder.Schedule.t) =
-  let shape = Reorder.Shape.analyze sched in
-  let key =
-    schedule_key ~kernel:kernel.Kernels.Kernel.name
-      ~n_nodes:kernel.Kernels.Kernel.n_nodes
-      ~n_inter:kernel.Kernels.Kernel.n_inter sched
-  in
-  Codegen.specialized_source ~kernel:kernel.Kernels.Kernel.name ~key sched
-    shape
+  Codegen.specialized_source ~kernel:kernel.Kernels.Kernel.name
+    ~key:(kernel_key kernel sched) sched

@@ -1,11 +1,10 @@
 (** Staged executor specialization over a frozen schedule.
 
-    Three execution strategies for the same flat-CSR schedule, all
-    bitwise identical:
+    Two execution strategies for the same flat-CSR schedule, bitwise
+    identical:
 
-    - [Interp]: the kernels' interpreted [run_tiled] walk;
-    - [Shaped] (Tier A, on whenever {!Reorder.Shape.profitable}): the
-      run-length-index streaming executors, selected at plan time;
+    - [Interp] (the default): the kernels' interpreted [run_tiled]
+      walk;
     - [Codegen] (Tier B, opt-in via [--specialize] or
       [RTRT_SPECIALIZE=1]): a straight-line OCaml module emitted by
       {!Codegen.specialized_source} for this exact (kernel, schedule)
@@ -15,24 +14,23 @@
       keyed by a fingerprint over the schedule content, the OCaml
       version, word size, and OS, plus an in-process memo.
 
-    Every failure to reach a higher tier — no toolchain, compile
-    error, emitter budget overflow, unprofitable shape — degrades
-    gracefully to the next tier down and bumps
-    [specialize.fallbacks]. By default the chosen tier is verified
-    bitwise against the interpreted walk on two-step state copies
-    before it is returned. Gauges: [specialize.tier] (0/1/2),
-    [specialize.runs_detected], [specialize.compile_ns]; counters:
+    Every failure to reach Tier B — no toolchain, compile error,
+    emitter budget overflow — degrades gracefully to [Interp] and
+    bumps [specialize.fallbacks]. By default a compiled executor is
+    verified bitwise against the interpreted walk on two-step state
+    copies before it is returned. Gauges: [specialize.tier] (0 interp,
+    2 codegen), [specialize.compile_ns]; counters:
     [specialize.compiles], [specialize.cmxs_cache_hits],
     [specialize.memo_hits], [specialize.fallbacks]. *)
 
+(** [Shaped] is retired and never produced; it is kept so reports that
+    count tiers by name keep their column. *)
 type tier = Interp | Shaped | Codegen
 
 val tier_name : tier -> string
 
 type t = {
   tier : tier;
-  shape : Reorder.Shape.t;
-  summary : Reorder.Shape.summary;
   run : steps:int -> unit;
       (** Execute [steps] schedule walks on the kernel state the
           specialization was built from. For [Kernels.Kernel.t]
@@ -40,7 +38,7 @@ type t = {
           each step is one whole schedule walk ([sweeps] sweeps). *)
   compile_seconds : float;
       (** Tier B out-of-process compile time; 0 on a cache hit or for
-          the other tiers. *)
+          [Interp]. *)
   cmxs_cache_hit : bool;
       (** Tier B executor came from the in-process memo or the on-disk
           [.cmxs] cache rather than a fresh compile. *)
@@ -48,17 +46,18 @@ type t = {
 }
 
 (** Is Tier B requested? The [set_enabled] override if any, else
-    [RTRT_SPECIALIZE] (default off). Tier A needs no opt-in. *)
+    [RTRT_SPECIALIZE] (default off). *)
 val enabled : unit -> bool
 
 (** Programmatic override of [RTRT_SPECIALIZE] (the CLI's
     [--specialize] flag). *)
 val set_enabled : bool -> unit
 
-(** Specialize [kernel]'s execution of [sched]. [tier_b] overrides
-    {!enabled} for this call; [verify] (default [true]) asserts the
-    chosen tier bitwise against [run_tiled] on two-step copies and
-    raises [Failure] on divergence. Never raises for a missing
+(** Specialize [kernel]'s execution of [sched]: [Codegen] when Tier B
+    is wanted and succeeds, else [Interp]. [tier_b] overrides
+    {!enabled} for this call; [verify] (default [true]) asserts a
+    compiled executor bitwise against [run_tiled] on two-step copies
+    and raises [Failure] on divergence. Never raises for a missing
     toolchain — that is a counted fallback. *)
 val make :
   ?tier_b:bool -> ?verify:bool -> Kernels.Kernel.t -> Reorder.Schedule.t -> t

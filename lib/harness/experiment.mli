@@ -85,8 +85,8 @@ val trace_steps :
 
 (** Wall-clock seconds per step of the inspected kernel's executor.
     With a schedule, execution dispatches through
-    {!Compose.Specialize}: shape-specialized (Tier A) when profitable,
-    compiled (Tier B) when [--specialize]/[RTRT_SPECIALIZE] is on,
+    {!Compose.Specialize}: compiled (Tier B) when
+    [--specialize]/[RTRT_SPECIALIZE] is on and the compile succeeds,
     interpreted otherwise — the tier is chosen and bitwise-verified
     outside the timed region. *)
 val wall_clock_steps : Compose.Inspector.result -> steps:int -> float

@@ -9,10 +9,10 @@
      within a small factor of plain at default scale — its payoff is
      locality, not raw dispatch);
    - specialized executors: the interpreted [run_tiled] walk against
-     the Tier A shape-specialized executor and the Tier B compiled
-     executor ([Compose.Specialize]) on the same frozen schedule, per
-     kernel, on a contiguous-run-rich plan (tilePack on) plus a
-     run-poor comparison, nominal schedule GB/s for each;
+     the Tier B compiled executor ([Compose.Specialize]) on the same
+     frozen schedule, per kernel, on a contiguous-run-rich plan
+     (tilePack on) plus a run-poor comparison, nominal schedule GB/s
+     for each;
    - inspector phase breakdown: the composed inspector re-run under an
      in-memory trace sink, per-span-name totals via [Rtrt_obs.Report].
 
@@ -22,7 +22,6 @@
 let g_flat_gbps = Rtrt_obs.Metrics.gauge "hotpath.walk.flat_gbps"
 let g_walk_speedup = Rtrt_obs.Metrics.gauge "hotpath.walk.speedup"
 let g_exec_ratio = Rtrt_obs.Metrics.gauge "hotpath.exec.tiled_over_plain"
-let g_spec_shaped = Rtrt_obs.Metrics.gauge "hotpath.spec.shaped_speedup"
 let g_spec_codegen = Rtrt_obs.Metrics.gauge "hotpath.spec.codegen_speedup"
 
 type walk_result = {
@@ -45,15 +44,13 @@ type exec_result = {
 type spec_row = {
   spec_kernel : string;
   spec_plan : string;
-  spec_tier : string;  (** best tier reached: interp / shaped / codegen *)
+  spec_tier : string;  (** best tier reached: interp / codegen *)
   spec_items : int;  (** schedule iterations per step *)
   spec_steps : int;  (** steps per timed round *)
   spec_runs : int;  (** contiguous runs in the schedule *)
   spec_identity_rows : int;
   spec_avg_run_len : float;
   spec_interp_gbps : float;
-  spec_shaped_gbps : float;
-  spec_shaped_speedup : float;  (** interp_seconds / shaped_seconds *)
   spec_codegen_gbps : float option;  (** [None] when Tier B unavailable *)
   spec_codegen_speedup : float option;
   spec_compile_seconds : float;
@@ -217,6 +214,26 @@ let bench_exec ?(steps = 3) (kernel : Kernels.Kernel.t)
 (* ------------------------------------------------------------------ *)
 (* Specialized executors                                               *)
 
+(* Maximal runs of consecutive ids over all rows, and the rows that
+   are one single run: how much of the schedule Tier B emits as
+   literal range loops. *)
+let run_stats sched =
+  let row_ptr = Reorder.Schedule.row_ptr sched in
+  let items = Reorder.Schedule.flat_items sched in
+  let runs = ref 0 and identity_rows = ref 0 in
+  for r = 0 to Array.length row_ptr - 2 do
+    let lo = row_ptr.(r) and hi = row_ptr.(r + 1) in
+    if hi > lo then begin
+      let n = ref 1 in
+      for i = lo + 1 to hi - 1 do
+        if items.(i) <> items.(i - 1) + 1 then incr n
+      done;
+      runs := !runs + !n;
+      if !n = 1 then incr identity_rows
+    end
+  done;
+  (!runs, !identity_rows)
+
 let bench_spec ?(min_seconds = 0.25) ?(rounds = 5) ~plan_name
     (result : Compose.Inspector.result) =
   match result.Compose.Inspector.schedule with
@@ -228,9 +245,9 @@ let bench_spec ?(min_seconds = 0.25) ?(rounds = 5) ~plan_name
        so one timing round lasts roughly [min_seconds / rounds] — the
        per-step times here are far too short to gate on raw. Each
        variant runs on its own copy of the transformed kernel; the
-       rounds are interleaved across the tiers (interp round, shaped
-       round, codegen round, repeat) so ambient machine drift lands on
-       every tier equally and the best-of-rounds ratios stay stable.
+       rounds are interleaved across the tiers (interp round, codegen
+       round, repeat) so ambient machine drift lands on both tiers
+       equally and the best-of-rounds ratios stay stable.
        Every variant executes the same 1 + rounds*steps walks, so the
        final states must be bitwise equal — asserted below. *)
     let interp_k = Kernels.Kernel.(k.copy ()) in
@@ -242,8 +259,6 @@ let bench_spec ?(min_seconds = 0.25) ?(rounds = 5) ~plan_name
         (int_of_float
            (min_seconds /. float_of_int rounds /. max 1e-9 one))
     in
-    let shaped_k = Kernels.Kernel.(k.copy ()) in
-    let shape = Reorder.Shape.analyze sched in
     (* Tier B on its own copy; construction verifies bitwise on
        throwaway copies and degrades to a counted fallback when the
        toolchain is missing. *)
@@ -251,43 +266,31 @@ let bench_spec ?(min_seconds = 0.25) ?(rounds = 5) ~plan_name
     let cg = Compose.Specialize.make ~tier_b:true cg_k sched in
     let have_cg = cg.Compose.Specialize.tier = Compose.Specialize.Codegen in
     (* Warmups (the calibration step already warmed interp_k). *)
-    shaped_k.Kernels.Kernel.run_tiled_shaped sched shape ~steps:1;
     if have_cg then cg.Compose.Specialize.run ~steps:1;
-    let interp_best = ref infinity
-    and shaped_best = ref infinity
-    and cg_best = ref infinity in
+    let interp_best = ref infinity and cg_best = ref infinity in
     for _ = 1 to rounds do
       let keep cell t = if t < !cell then cell := t in
       keep interp_best
         (time (fun () -> interp_k.Kernels.Kernel.run_tiled sched ~steps));
-      keep shaped_best
-        (time (fun () ->
-             shaped_k.Kernels.Kernel.run_tiled_shaped sched shape ~steps));
       if have_cg then
         keep cg_best (time (fun () -> cg.Compose.Specialize.run ~steps))
     done;
     let interp_seconds = !interp_best in
-    let shaped_seconds = !shaped_best in
     let codegen_seconds = if have_cg then Some !cg_best else None in
     let eq a b =
       Kernels.Kernel.snapshots_equal_bits
         (a.Kernels.Kernel.snapshot ())
         (b.Kernels.Kernel.snapshot ())
     in
-    let bitwise =
-      eq interp_k shaped_k
-      && (codegen_seconds = None || eq interp_k cg_k)
-    in
+    let bitwise = codegen_seconds = None || eq interp_k cg_k in
     if not bitwise then failwith "Hotpath.bench_spec: tiers diverged";
-    let sm = cg.Compose.Specialize.summary in
+    let runs, identity_rows = run_stats sched in
     let gbps sec =
       float_of_int (8 * items * steps) /. max 1e-12 sec /. 1e9
     in
-    let shaped_speedup = interp_seconds /. max 1e-12 shaped_seconds in
     let codegen_speedup =
       Option.map (fun s -> interp_seconds /. max 1e-12 s) codegen_seconds
     in
-    Rtrt_obs.Metrics.set g_spec_shaped shaped_speedup;
     Option.iter (Rtrt_obs.Metrics.set g_spec_codegen) codegen_speedup;
     {
       spec_kernel = k.Kernels.Kernel.name;
@@ -295,12 +298,11 @@ let bench_spec ?(min_seconds = 0.25) ?(rounds = 5) ~plan_name
       spec_tier = Compose.Specialize.tier_name cg.Compose.Specialize.tier;
       spec_items = items;
       spec_steps = steps;
-      spec_runs = sm.Reorder.Shape.runs;
-      spec_identity_rows = sm.Reorder.Shape.identity_rows;
-      spec_avg_run_len = sm.Reorder.Shape.avg_run_len;
+      spec_runs = runs;
+      spec_identity_rows = identity_rows;
+      spec_avg_run_len =
+        (if runs = 0 then 0. else float_of_int items /. float_of_int runs);
       spec_interp_gbps = gbps interp_seconds;
-      spec_shaped_gbps = gbps shaped_seconds;
-      spec_shaped_speedup = shaped_speedup;
       spec_codegen_gbps = Option.map gbps codegen_seconds;
       spec_codegen_speedup = codegen_speedup;
       spec_compile_seconds = cg.Compose.Specialize.compile_seconds;
@@ -350,9 +352,9 @@ let measure ~scale () =
   let spec, ph_spec =
     Rtrt_obs.Profile.record ~name:"specialize" (fun () ->
         (* Run-rich rows: the top-level plan tilePacks, so its rows are
-           long contiguous runs — the shape the Tier A streaming
-           executors exploit. The final row drops tilePack for a
-           run-poor comparison on the same kernel. *)
+           long contiguous runs — what Tier B emits as literal range
+           loops. The final row drops tilePack for a run-poor
+           comparison on the same kernel. *)
         let row p kname dname =
           let dataset = Option.get (Datagen.Generators.by_name ~scale dname) in
           let k = (Option.get (Kernels.by_name kname)) dataset in
@@ -428,8 +430,6 @@ let json_of_report r =
                       ("identity_rows", Int s.spec_identity_rows);
                       ("avg_run_len", Float s.spec_avg_run_len);
                       ("interp_gbps", Float s.spec_interp_gbps);
-                      ("shaped_gbps", Float s.spec_shaped_gbps);
-                      ("shaped_speedup", Float s.spec_shaped_speedup);
                     ]
                    @ (match (s.spec_codegen_gbps, s.spec_codegen_speedup) with
                      | Some g, Some sp ->
@@ -477,10 +477,8 @@ let pp_report ppf r =
   List.iter
     (fun s ->
       Fmt.pf ppf
-        "    %-8s %-18s tier %-7s interp %.3f GB/s, shaped %.3f GB/s \
-         (%.2fx)%s, runs %d avg %.1f%s@."
+        "    %-8s %-18s tier %-7s interp %.3f GB/s%s, runs %d avg %.1f%s@."
         s.spec_kernel s.spec_plan s.spec_tier s.spec_interp_gbps
-        s.spec_shaped_gbps s.spec_shaped_speedup
         (match (s.spec_codegen_gbps, s.spec_codegen_speedup) with
         | Some g, Some sp -> Fmt.str ", codegen %.3f GB/s (%.2fx)" g sp
         | _ -> "")

@@ -1,8 +1,8 @@
 (** Hot-path microbenchmarks for the flat-CSR schedule representation:
     schedule-walk bandwidth (flat + unsafe streaming vs the pre-flat
     nested-array reference), moldyn tiled-vs-plain executor steady
-    state, the specialized-executor tiers (interpreted vs Tier A
-    shaped vs Tier B compiled, {!Compose.Specialize}), and the
+    state, the specialized-executor tiers (interpreted vs Tier B
+    compiled, {!Compose.Specialize}), and the
     inspector's per-span phase breakdown. Results feed
     BENCH_HOTPATH.json and the [hotpath.*] gauges. *)
 
@@ -23,22 +23,20 @@ type exec_result = {
   tiled_over_plain : float;
 }
 
-(** One kernel × plan comparison of the three executor tiers on the
+(** One kernel × plan comparison of the executor tiers on the
     same frozen schedule. GB/s figures are nominal schedule bandwidth
     (8 bytes per schedule item per step); speedups are ratios of the
     interpreted walk's best time over the tier's best time. *)
 type spec_row = {
   spec_kernel : string;
   spec_plan : string;
-  spec_tier : string;  (** best tier reached: interp / shaped / codegen *)
+  spec_tier : string;  (** best tier reached: interp / codegen *)
   spec_items : int;  (** schedule iterations per step *)
   spec_steps : int;  (** steps per timed round *)
   spec_runs : int;  (** contiguous runs in the schedule *)
   spec_identity_rows : int;
   spec_avg_run_len : float;
   spec_interp_gbps : float;
-  spec_shaped_gbps : float;
-  spec_shaped_speedup : float;  (** interp_seconds / shaped_seconds *)
   spec_codegen_gbps : float option;  (** [None] when Tier B unavailable *)
   spec_codegen_speedup : float option;
   spec_compile_seconds : float;
@@ -76,8 +74,8 @@ val bench_walk : ?min_seconds:float -> Reorder.Schedule.t -> walk_result
 val bench_exec :
   ?steps:int -> Kernels.Kernel.t -> Compose.Inspector.result -> exec_result
 
-(** Time the interpreted, shaped (Tier A), and compiled (Tier B)
-    executors on the inspected schedule. The step count is calibrated
+(** Time the interpreted and compiled (Tier B) executors on the
+    inspected schedule. The step count is calibrated
     so one timing round takes roughly [min_seconds / rounds]; each
     tier then runs one warmup step plus the best of [rounds] timed
     rounds on its own copy of the transformed kernel. Tier B is

@@ -19,8 +19,8 @@
    genuinely crosses tile boundaries. Executors therefore fold the
    per-node partials serially after each whole schedule walk, in
    schedule order — the same float additions in the same order for the
-   interpreted, shaped, and parallel executors, which keeps all three
-   bitwise identical on a given schedule. (Like every reduction here,
+   interpreted and parallel executors, which keeps the two bitwise
+   identical on a given schedule. (Like every reduction here,
    *different* schedules reassociate the folds, so cross-plan
    comparisons use [snapshots_close].)
 
@@ -105,7 +105,7 @@ let check_endpoints_cached st ~who =
 
 (* Fold the dot partials in tiled execution order (the S3 rows of the
    schedule, tile-major): the serial epilogue every tiled executor —
-   interpreted, shaped, parallel — shares bitwise. *)
+   interpreted, parallel — shares bitwise. *)
 let pap_of_schedule st (sched : Reorder.Schedule.t) =
   let rp = Reorder.Schedule.row_ptr sched in
   let fl = Reorder.Schedule.flat_items sched in
@@ -165,72 +165,6 @@ let run_tiled_st st (sched : Reorder.Schedule.t) ~steps =
             let rk = Array.unsafe_get r k -. (alpha *. qk) in
             Array.unsafe_set r k rk;
             Array.unsafe_set p k (rk +. (beta *. pk))
-          done
-      done
-    done;
-    fold_alpha st (pap_of_schedule st sched)
-  done
-
-(* Tier A shape-specialized twin: streams the run-length index; same
-   iterations in the same order, so bitwise [run_tiled_st]. *)
-let run_shaped_st st (sched : Reorder.Schedule.t) (shape : Reorder.Shape.t)
-    ~steps =
-  check_chain ~who:"Cg.run_shaped" sched;
-  if not (Reorder.Shape.for_schedule shape sched) then
-    invalid_arg "Cg.run_shaped: shape built from a different schedule";
-  if not (Reorder.Schedule.check_fits sched ~loop_sizes:[| st.n; st.m; st.n |])
-  then invalid_arg "Cg.run_shaped: schedule does not fit the kernel";
-  check_endpoints_cached st ~who:"Cg.run_shaped";
-  let left = st.left and right = st.right and w = st.w in
-  let p = st.p and q = st.q and x = st.x and r = st.r in
-  let diag = st.diag and dot = st.dot in
-  let n_tiles = Reorder.Schedule.n_tiles sched in
-  let rq = Reorder.Shape.run_ptr shape in
-  let rlo = Reorder.Shape.run_lo shape in
-  let rln = Reorder.Shape.run_len shape in
-  for _s = 1 to steps do
-    let alpha = st.alpha in
-    for t = 0 to n_tiles - 1 do
-      for c = 0 to 2 do
-        let row = (t * 3) + c in
-        let klo = Array.unsafe_get rq row
-        and khi = Array.unsafe_get rq (row + 1) in
-        match c with
-        | 0 ->
-          for k = klo to khi - 1 do
-            let lo = Array.unsafe_get rlo k in
-            let hi = lo + Array.unsafe_get rln k - 1 in
-            for i = lo to hi do
-              Array.unsafe_set q i
-                (Array.unsafe_get diag i *. Array.unsafe_get p i)
-            done
-          done
-        | 1 ->
-          for k = klo to khi - 1 do
-            let lo = Array.unsafe_get rlo k in
-            let hi = lo + Array.unsafe_get rln k - 1 in
-            for j = lo to hi do
-              let l = Array.unsafe_get left j
-              and rr = Array.unsafe_get right j in
-              let wj = Array.unsafe_get w j in
-              Array.unsafe_set q l
-                (Array.unsafe_get q l +. (wj *. Array.unsafe_get p rr));
-              Array.unsafe_set q rr
-                (Array.unsafe_get q rr +. (wj *. Array.unsafe_get p l))
-            done
-          done
-        | _ ->
-          for k = klo to khi - 1 do
-            let lo = Array.unsafe_get rlo k in
-            let hi = lo + Array.unsafe_get rln k - 1 in
-            for i = lo to hi do
-              let pk = Array.unsafe_get p i and qk = Array.unsafe_get q i in
-              Array.unsafe_set dot i (pk *. qk);
-              Array.unsafe_set x i (Array.unsafe_get x i +. (alpha *. pk));
-              let rk = Array.unsafe_get r i -. (alpha *. qk) in
-              Array.unsafe_set r i rk;
-              Array.unsafe_set p i (rk +. (beta *. pk))
-            done
           done
       done
     done;
@@ -450,8 +384,6 @@ let rec make st =
     apply_iter_perm;
     run = (fun ~steps -> run_plain st ~steps);
     run_tiled = (fun sched ~steps -> run_tiled_st st sched ~steps);
-    run_tiled_shaped =
-      (fun sched shape ~steps -> run_shaped_st st sched shape ~steps);
     exec_arrays =
       (fun () ->
         ( [| st.left; st.right |],

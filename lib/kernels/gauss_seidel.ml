@@ -166,31 +166,6 @@ let run_sched t (sched : Reorder.Schedule.t) =
     run_tile t sched ~tile
   done
 
-(* Tier A shape-specialized twin of [run_sched]: streams each row's
-   run-length index as [for v = lo to hi] ranges. [update] itself
-   stays bounds-checked (it chases graph adjacency), so the shape only
-   has to come from this exact schedule for the walks to coincide
-   bitwise. *)
-let run_sched_shaped t (sched : Reorder.Schedule.t) (shape : Reorder.Shape.t) =
-  if not (Reorder.Shape.for_schedule shape sched) then
-    invalid_arg
-      "Gauss_seidel.run_sched_shaped: shape built from a different schedule";
-  let nl = Reorder.Schedule.n_loops sched in
-  let rq = Reorder.Shape.run_ptr shape in
-  let rlo = Reorder.Shape.run_lo shape in
-  let rln = Reorder.Shape.run_len shape in
-  for tile = 0 to Reorder.Schedule.n_tiles sched - 1 do
-    for s = 0 to nl - 1 do
-      let r = (tile * nl) + s in
-      for k = rq.(r) to rq.(r + 1) - 1 do
-        let lo = rlo.(k) in
-        for v = lo to lo + rln.(k) - 1 do
-          update t v
-        done
-      done
-    done
-  done
-
 let run_tiled t tiling = run_sched t (schedule tiling)
 
 (* The graph's CSR arrays (adjacency in [iter_neighbors] order), for

@@ -58,11 +58,6 @@ val run_tiled : t -> tiling -> unit
     [schedule tiling]. *)
 val run_sched : t -> Reorder.Schedule.t -> unit
 
-(** Tier A shape-specialized twin of {!run_sched}: streams the
-    schedule's run-length index; bitwise identical. The shape must be
-    {!Reorder.Shape.analyze} of this exact schedule value. *)
-val run_sched_shaped : t -> Reorder.Schedule.t -> Reorder.Shape.t -> unit
-
 (** The graph's CSR arrays [(ptr, adj)] with adjacency in
     [iter_neighbors] order, for the Tier B executor emitter. *)
 val csr_arrays : Irgraph.Csr.t -> int array * int array

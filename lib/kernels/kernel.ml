@@ -65,13 +65,6 @@ type t = {
   (* Executors; [run*] mutate the kernel's arrays in place. *)
   run : steps:int -> unit;
   run_tiled : Reorder.Schedule.t -> steps:int -> unit;
-  (* Tier A specialized executor: same walk as [run_tiled] but streams
-     the schedule's run-length index (lo..hi ranges) instead of loading
-     every iteration id; bitwise identical by construction. The shape
-     must have been built (Reorder.Shape.analyze) from this exact
-     schedule value. *)
-  run_tiled_shaped :
-    Reorder.Schedule.t -> Reorder.Shape.t -> steps:int -> unit;
   (* Tier B handshake: the kernel's index arrays and float arrays in
      the executor-emitter's documented order (Compose.Specialize);
      the arrays themselves, not copies. *)

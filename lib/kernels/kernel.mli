@@ -50,11 +50,9 @@ type t = {
   apply_iter_perm : Reorder.Perm.t -> t;
   run : steps:int -> unit;
   run_tiled : Reorder.Schedule.t -> steps:int -> unit;
-  run_tiled_shaped :
-    Reorder.Schedule.t -> Reorder.Shape.t -> steps:int -> unit;
-      (** Tier A shape-specialized executor: streams the run-length
-          index built by {!Reorder.Shape.analyze} from this exact
-          schedule value; bitwise identical to [run_tiled]. *)
+      (** The interpreted walk of a flat-CSR schedule: the default
+          executor, and the reference that compiled (Tier B) and
+          parallel executors are checked against bitwise. *)
   exec_arrays : unit -> int array array * float array array;
       (** The kernel's index arrays and float arrays (not copies) in
           the Tier B emitter's documented order; see

@@ -154,88 +154,6 @@ let run_tiled_st st (sched : Reorder.Schedule.t) ~steps =
     done
   done
 
-(* Tier A shape-specialized twin of [run_tiled_st]: iterates each row's
-   maximal runs as [for i = lo to hi] ranges instead of loading every
-   iteration id from the items array. Visits the same iterations in
-   the same order, so results are bitwise [run_tiled_st]'s; the run
-   index is only trusted after [Shape.for_schedule] proves it was
-   built from this very schedule (which [check_fits] then validates as
-   usual). *)
-let run_shaped_st st (sched : Reorder.Schedule.t) (shape : Reorder.Shape.t)
-    ~steps =
-  if not (Reorder.Shape.for_schedule shape sched) then
-    invalid_arg "Moldyn.run_shaped: shape built from a different schedule";
-  if not (Reorder.Schedule.check_fits sched ~loop_sizes:[| st.n; st.m; st.n |])
-  then invalid_arg "Moldyn.run_shaped: schedule does not fit the kernel";
-  check_endpoints_cached st ~who:"Moldyn.run_shaped";
-  let x = st.x and y = st.y and z = st.z in
-  let vx = st.vx and vy = st.vy and vz = st.vz in
-  let fx = st.fx and fy = st.fy and fz = st.fz in
-  let left = st.left and right = st.right in
-  let n_tiles = Reorder.Schedule.n_tiles sched in
-  let n_chain = Reorder.Schedule.n_loops sched in
-  let rq = Reorder.Shape.run_ptr shape in
-  let rlo = Reorder.Shape.run_lo shape in
-  let rln = Reorder.Shape.run_len shape in
-  for _s = 1 to steps do
-    for t = 0 to n_tiles - 1 do
-      for c = 0 to n_chain - 1 do
-        let r = (t * n_chain) + c in
-        let klo = Array.unsafe_get rq r and khi = Array.unsafe_get rq (r + 1) in
-        match c mod 3 with
-        | 0 ->
-          for k = klo to khi - 1 do
-            let lo = Array.unsafe_get rlo k in
-            let hi = lo + Array.unsafe_get rln k - 1 in
-            for i = lo to hi do
-              Array.unsafe_set x i
-                (Array.unsafe_get x i
-                +. (dt *. (Array.unsafe_get vx i +. Array.unsafe_get fx i)));
-              Array.unsafe_set y i
-                (Array.unsafe_get y i
-                +. (dt *. (Array.unsafe_get vy i +. Array.unsafe_get fy i)));
-              Array.unsafe_set z i
-                (Array.unsafe_get z i
-                +. (dt *. (Array.unsafe_get vz i +. Array.unsafe_get fz i)))
-            done
-          done
-        | 1 ->
-          for k = klo to khi - 1 do
-            let lo = Array.unsafe_get rlo k in
-            let hi = lo + Array.unsafe_get rln k - 1 in
-            for j = lo to hi do
-              let l = Array.unsafe_get left j
-              and r = Array.unsafe_get right j in
-              let dx = Array.unsafe_get x l -. Array.unsafe_get x r in
-              let dy = Array.unsafe_get y l -. Array.unsafe_get y r in
-              let dz = Array.unsafe_get z l -. Array.unsafe_get z r in
-              let r2 = (dx *. dx) +. (dy *. dy) +. (dz *. dz) +. 1.0 in
-              let g = 1.0 /. r2 in
-              Array.unsafe_set fx l (Array.unsafe_get fx l +. (g *. dx));
-              Array.unsafe_set fx r (Array.unsafe_get fx r -. (g *. dx));
-              Array.unsafe_set fy l (Array.unsafe_get fy l +. (g *. dy));
-              Array.unsafe_set fy r (Array.unsafe_get fy r -. (g *. dy));
-              Array.unsafe_set fz l (Array.unsafe_get fz l +. (g *. dz));
-              Array.unsafe_set fz r (Array.unsafe_get fz r -. (g *. dz))
-            done
-          done
-        | _ ->
-          for k = klo to khi - 1 do
-            let lo = Array.unsafe_get rlo k in
-            let hi = lo + Array.unsafe_get rln k - 1 in
-            for i = lo to hi do
-              Array.unsafe_set vx i
-                (Array.unsafe_get vx i +. (dt *. Array.unsafe_get fx i));
-              Array.unsafe_set vy i
-                (Array.unsafe_get vy i +. (dt *. Array.unsafe_get fy i));
-              Array.unsafe_set vz i
-                (Array.unsafe_get vz i +. (dt *. Array.unsafe_get fz i))
-            done
-          done
-      done
-    done
-  done
-
 (* Parallel tiled executor: chain positions with c mod 3 = 1 are the
    pairwise-force reductions. [stash] computes each interaction's
    contribution g*dx (etc.) into per-interaction scratch — a pure
@@ -461,8 +379,6 @@ let rec make st =
     apply_iter_perm;
     run = (fun ~steps -> run_plain st ~steps);
     run_tiled = (fun sched ~steps -> run_tiled_st st sched ~steps);
-    run_tiled_shaped =
-      (fun sched shape ~steps -> run_shaped_st st sched shape ~steps);
     exec_arrays =
       (fun () ->
         ( [| st.left; st.right |],

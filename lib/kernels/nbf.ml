@@ -129,46 +129,6 @@ let run_tiled_st st (sched : Reorder.Schedule.t) ~steps =
     done
   done
 
-(* Tier A shape-specialized twin of [run_tiled_st]: streams each row's
-   run-length index as [for i = lo to hi] ranges; bitwise identical by
-   construction (see Reorder.Shape). *)
-let run_shaped_st st (sched : Reorder.Schedule.t) (shape : Reorder.Shape.t)
-    ~steps =
-  if not (Reorder.Shape.for_schedule shape sched) then
-    invalid_arg "Nbf.run_shaped: shape built from a different schedule";
-  if not (Reorder.Schedule.check_fits sched ~loop_sizes:[| st.n; st.m |]) then
-    invalid_arg "Nbf.run_shaped: schedule does not fit the kernel";
-  check_endpoints_cached st ~who:"Nbf.run_shaped";
-  let n_tiles = Reorder.Schedule.n_tiles sched in
-  let n_chain = Reorder.Schedule.n_loops sched in
-  let rq = Reorder.Shape.run_ptr shape in
-  let rlo = Reorder.Shape.run_lo shape in
-  let rln = Reorder.Shape.run_len shape in
-  for _s = 1 to steps do
-    for t = 0 to n_tiles - 1 do
-      for c = 0 to n_chain - 1 do
-        let r = (t * n_chain) + c in
-        let klo = Array.unsafe_get rq r and khi = Array.unsafe_get rq (r + 1) in
-        if c mod 2 = 0 then
-          for k = klo to khi - 1 do
-            let lo = Array.unsafe_get rlo k in
-            let hi = lo + Array.unsafe_get rln k - 1 in
-            for i = lo to hi do
-              update_i_u st i
-            done
-          done
-        else
-          for k = klo to khi - 1 do
-            let lo = Array.unsafe_get rlo k in
-            let hi = lo + Array.unsafe_get rln k - 1 in
-            for j = lo to hi do
-              force_j_u st j
-            done
-          done
-      done
-    done
-  done
-
 (* Parallel tiled executor: the force positions (c mod 2 = 1) are
    reductions over fx/fy/fz. The stashed contribution g*dx is a pure
    function of x/y/z, read-only during the position, so the ordered
@@ -336,8 +296,6 @@ let rec make st =
     apply_iter_perm;
     run = (fun ~steps -> run_plain st ~steps);
     run_tiled = (fun sched ~steps -> run_tiled_st st sched ~steps);
-    run_tiled_shaped =
-      (fun sched shape ~steps -> run_shaped_st st sched shape ~steps);
     exec_arrays =
       (fun () ->
         ( [| st.left; st.right |],

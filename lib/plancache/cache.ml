@@ -22,12 +22,6 @@ type entry = {
   sigma_total : Perm.t;
   delta_total : Perm.t;
   schedule : Schedule.t option;
-  shape_summary : Shape.summary option;
-      (* the schedule's plan-time shape analysis (run counts, identity
-         rows, ...), cached so a warm hit can pick its executor tier
-         without re-walking the items array. Only the summary is
-         stored: the run-length *index* is always rebuilt from the
-         validated schedule, never trusted from disk. *)
   reordering_fns : (string * Perm.t) list;
   n_data_remaps : int;
   cold_inspector_seconds : float;
@@ -203,24 +197,6 @@ let json_of_schedule s =
       ("items", json_of_int_array (Schedule.flat_items s));
     ]
 
-(* The shape member is optional and versionless: files written before
-   it existed simply lack it and load with [shape_summary = None]. *)
-let json_of_summary (sm : Shape.summary) =
-  J.Obj
-    [
-      ("rows", J.Int sm.Shape.rows);
-      ("total_items", J.Int sm.Shape.total_items);
-      ("runs", J.Int sm.Shape.runs);
-      ("identity_rows", J.Int sm.Shape.identity_rows);
-      ("max_run", J.Int sm.Shape.max_run);
-      ("single_loop", J.Bool sm.Shape.single_loop);
-      ( "uniform_tile_items",
-        match sm.Shape.uniform_tile_items with
-        | None -> J.Null
-        | Some n -> J.Int n );
-      ("avg_run_len", J.Float sm.Shape.avg_run_len);
-    ]
-
 let json_of_entry ~hex e =
   J.Obj
     [
@@ -230,10 +206,6 @@ let json_of_entry ~hex e =
       ("delta", json_of_perm e.delta_total);
       ( "schedule",
         match e.schedule with None -> J.Null | Some s -> json_of_schedule s );
-      ( "shape",
-        match e.shape_summary with
-        | None -> J.Null
-        | Some sm -> json_of_summary sm );
       ( "fns",
         J.List
           (List.map
@@ -346,43 +318,6 @@ let schedule_of_json j =
         else Error "schedule items not in canonical order"
       | exception Invalid_argument msg -> Error msg
 
-let summary_of_json j =
-  let* rows = int_field "rows" j in
-  let* total_items = int_field "total_items" j in
-  let* runs = int_field "runs" j in
-  let* identity_rows = int_field "identity_rows" j in
-  let* max_run = int_field "max_run" j in
-  let* single_loop =
-    match J.member "single_loop" j with
-    | Some (J.Bool b) -> Ok b
-    | _ -> Error "single_loop is not a boolean"
-  in
-  let* uniform_tile_items =
-    match J.member "uniform_tile_items" j with
-    | None | Some J.Null -> Ok None
-    | Some v -> (
-      match J.to_int_opt v with
-      | Some n -> Ok (Some n)
-      | None -> Error "uniform_tile_items is not an integer")
-  in
-  let* avg_run_len =
-    let* v = field "avg_run_len" j in
-    match J.to_float_opt v with
-    | Some f -> Ok f
-    | None -> Error "avg_run_len is not a number"
-  in
-  Ok
-    {
-      Shape.rows;
-      total_items;
-      runs;
-      identity_rows;
-      max_run;
-      single_loop;
-      uniform_tile_items;
-      avg_run_len;
-    }
-
 let entry_of_json j =
   let* version = int_field "version" j in
   if version <> format_version then Error "unsupported format version"
@@ -398,22 +333,8 @@ let entry_of_json j =
         let* s = schedule_of_json sj in
         Ok (Some s)
     in
-    let* shape_summary =
-      match J.member "shape" j with
-      | None | Some J.Null -> Ok None
-      | Some sj ->
-        let* sm = summary_of_json sj in
-        (* Sanity against the (validated) schedule: a summary that
-           cannot belong to it is dropped, not trusted — callers then
-           re-analyze. *)
-        Ok
-          (match schedule with
-          | Some s
-            when sm.Shape.rows = Schedule.n_tiles s * Schedule.n_loops s
-                 && sm.Shape.total_items = Schedule.total_iterations s ->
-            Some sm
-          | _ -> None)
-    in
+    (* Files written before the executor shape analysis was retired
+       carry a "shape" member; it is ignored. *)
     let* reordering_fns =
       match J.member "fns" j with
       | Some (J.List fs) ->
@@ -445,7 +366,6 @@ let entry_of_json j =
         sigma_total;
         delta_total;
         schedule;
-        shape_summary;
         reordering_fns;
         n_data_remaps;
         cold_inspector_seconds;

@@ -26,12 +26,6 @@ type entry = {
   sigma_total : Perm.t;  (** composed data reordering *)
   delta_total : Perm.t;  (** composed iteration reordering *)
   schedule : Schedule.t option;  (** sparse-tiled executor schedule *)
-  shape_summary : Shape.summary option;
-      (** plan-time {!Reorder.Shape} analysis of [schedule], cached so
-          warm hits pick an executor tier without re-walking the items
-          array. Only the summary is stored; the run-length index is
-          always rebuilt from the validated schedule. Absent in files
-          written before this member existed. *)
   reordering_fns : (string * Perm.t) list;
       (** per-transformation reordering functions, in application order *)
   n_data_remaps : int;

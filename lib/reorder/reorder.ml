@@ -21,7 +21,6 @@ module Lexsort = Lexsort
 module Bucket_tile = Bucket_tile
 module Sparse_tile = Sparse_tile
 module Schedule = Schedule
-module Shape = Shape
 module Tile_pack = Tile_pack
 module Wavefront = Wavefront
 module Tile_par = Tile_par

@@ -41,7 +41,6 @@ let dummy_entry n =
     Cache.sigma_total = Reorder.Perm.id n;
     delta_total = Reorder.Perm.id n;
     schedule = None;
-    shape_summary = None;
     reordering_fns = [];
     n_data_remaps = 0;
     cold_inspector_seconds = 0.5;
@@ -201,6 +200,51 @@ let test_disk_roundtrip () =
   Alcotest.(check int) "no disk error" 0 s.Cache.disk_errors;
   check_results_identical "disk tier" cold warm
 
+(* Entry files written before the executor shape analysis was retired
+   carry a "shape" member after "schedule"; the loader ignores it, so
+   such a file is still a hit and replays bit-identically. *)
+let test_disk_ignores_legacy_shape () =
+  let kernel = test_kernel () in
+  let dir = fresh_dir () in
+  let cold = Inspector.run ~cache:(Cache.create ~dir ()) tiled_plan kernel in
+  let hex = F.to_hex (Inspector.fingerprint tiled_plan kernel) in
+  let path = Filename.concat dir (hex ^ ".json") in
+  let module J = Rtrt_obs.Json in
+  let sched = Option.get cold.Inspector.schedule in
+  let legacy_shape =
+    J.Obj
+      [
+        ( "rows",
+          J.Int (Reorder.Schedule.n_tiles sched * Reorder.Schedule.n_loops sched)
+        );
+        ("total_items", J.Int (Reorder.Schedule.total_iterations sched));
+        ("runs", J.Int 10);
+        ("identity_rows", J.Int 2);
+        ("max_run", J.Int 40);
+        ("single_loop", J.Bool false);
+        ("uniform_tile_items", J.Null);
+        ("avg_run_len", J.Float 10.0);
+      ]
+  in
+  let with_shape =
+    match J.of_string_exn (In_channel.with_open_bin path In_channel.input_all) with
+    | J.Obj members ->
+      J.Obj
+        (List.concat_map
+           (fun ((name, _) as m) ->
+             if name = "schedule" then [ m; ("shape", legacy_shape) ] else [ m ])
+           members)
+    | _ -> Alcotest.fail "entry file is not a JSON object"
+  in
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc (J.to_string with_shape));
+  let cache = Cache.create ~dir () in
+  let warm = Inspector.run ~cache tiled_plan kernel in
+  let s = Cache.stats cache in
+  Alcotest.(check int) "disk hit" 1 s.Cache.disk_hits;
+  Alcotest.(check int) "no disk error" 0 s.Cache.disk_errors;
+  check_results_identical "legacy shape member" cold warm
+
 let test_disk_corruption_degrades_to_miss () =
   let kernel = test_kernel () in
   let dir = fresh_dir () in
@@ -359,6 +403,8 @@ let () =
             test_disk_rejects_non_bijective_perm;
           Alcotest.test_case "stale v1 format -> miss" `Quick
             test_disk_rejects_stale_format_version;
+          Alcotest.test_case "legacy shape member -> hit" `Quick
+            test_disk_ignores_legacy_shape;
         ] );
       ( "integration",
         [
