@@ -162,7 +162,7 @@ let data_perm walk strategy sigma_new =
       walk.schedule <- Some sched');
     (match strategy with
     | Remap_each ->
-      walk.kern <- walk.kern.Kernels.Kernel.apply_data_perm sigma_new;
+      walk.kern <- Kernels.Kernel.apply_data_perm walk.kern sigma_new;
       walk.remaps <- walk.remaps + 1;
       Rtrt_obs.Metrics.incr c_data_remaps
     | _ -> ())
@@ -184,7 +184,7 @@ let iter_perm walk strategy delta_new =
     walk.work_access <- Some (Access.reorder_iters delta_new work);
     (match strategy with
     | Remap_each ->
-      walk.kern <- walk.kern.Kernels.Kernel.apply_iter_perm delta_new
+      walk.kern <- Kernels.Kernel.apply_iter_perm walk.kern delta_new
     | _ -> ())
 
 let seed_tiles_of ?pool walk (seed : Transform.seed_partition) ~seed_loop ~work
@@ -312,22 +312,28 @@ let fingerprint ?(strategy = Remap_once) ?(share_symmetric_deps = true) plan
   F.add_bool b share_symmetric_deps;
   F.value b
 
+(* The remap-once tail shared by Remap_once, Fused and every replay:
+   one relabel of [kernel] through the composed delta and (unless it
+   is the identity, which is not counted as a data remap) the composed
+   sigma. [relabel] builds fresh arrays, so the caller's kernel is
+   never aliased. Returns the kernel and the data remaps performed. *)
+let final_remap (kernel : Kernels.Kernel.t) ~sigma_total ~delta_total =
+  if Perm.is_id sigma_total then
+    (kernel.Kernels.Kernel.relabel ~delta:delta_total (), 0)
+  else begin
+    Rtrt_obs.Metrics.incr c_data_remaps;
+    (kernel.Kernels.Kernel.relabel ~sigma:sigma_total ~delta:delta_total (), 1)
+  end
+
 (* A warm hit skips every per-transformation inspector and performs
-   only what Remap_once's tail would: remap the kernel copy through
-   the composed delta, then (unless it is the identity) through the
-   composed sigma. All strategies produce exactly this kernel, so the
-   replayed result is bit-identical to the cold run's. *)
+   only Remap_once's tail. All strategies produce exactly this kernel,
+   so the replayed result is bit-identical to the cold run's. *)
 let replay (entry : Rtrt_plancache.Cache.entry) (kernel : Kernels.Kernel.t) =
   Rtrt_obs.Span.with_span ~name:"inspector.replay" @@ fun span ->
   let t0 = Rtrt_obs.Clock.now_s () in
-  let kernel = kernel.Kernels.Kernel.copy () in
-  let k = kernel.Kernels.Kernel.apply_iter_perm entry.delta_total in
   let k, remaps =
-    if Perm.is_id entry.sigma_total then (k, 0)
-    else begin
-      Rtrt_obs.Metrics.incr c_data_remaps;
-      (k.Kernels.Kernel.apply_data_perm entry.sigma_total, 1)
-    end
+    final_remap kernel ~sigma_total:entry.sigma_total
+      ~delta_total:entry.delta_total
   in
   let seconds = Rtrt_obs.Clock.now_s () -. t0 in
   Rtrt_obs.Span.set_attr span "inspector_seconds" (Rtrt_obs.Json.Float seconds);
@@ -354,10 +360,16 @@ let run ?cache ?pool ?(strategy = Remap_once) ?(share_symmetric_deps = true)
   | Ok () -> ()
   | Error msg -> invalid "Inspector: %s" msg);
   let inspect () =
-  (* Work on a private copy: [apply_*_perm] rebuild only the arrays
-     they touch, so the transformed kernel would otherwise alias (and
-     its executor mutate) the caller's arrays. *)
-  let kernel = kernel.Kernels.Kernel.copy () in
+  (* Remap_each works on a private copy: a plan without reorderings
+     never relabels, and the result must not alias (nor its executor
+     mutate) the caller's arrays. Remap_once and Fused only read the
+     caller's kernel until their final relabel, which builds fresh
+     arrays. *)
+  let kernel =
+    match strategy with
+    | Remap_each -> kernel.Kernels.Kernel.copy ()
+    | Remap_once | Fused -> kernel
+  in
   Rtrt_obs.Span.with_span ~name:"inspector.run"
     ~attrs:
       [
@@ -554,13 +566,9 @@ let run ?cache ?pool ?(strategy = Remap_once) ?(share_symmetric_deps = true)
         | _ -> "inspector.final_remap"
       in
       Rtrt_obs.Span.with_ ~name:span_name @@ fun () ->
-      let k = walk.kern.Kernels.Kernel.apply_iter_perm delta_total in
-      if Perm.is_id sigma_total then k
-      else begin
-        walk.remaps <- walk.remaps + 1;
-        Rtrt_obs.Metrics.incr c_data_remaps;
-        k.Kernels.Kernel.apply_data_perm sigma_total
-      end
+      let k, remaps = final_remap walk.kern ~sigma_total ~delta_total in
+      walk.remaps <- walk.remaps + remaps;
+      k
   in
   let seconds = Rtrt_obs.Clock.now_s () -. t0 in
   Rtrt_obs.Span.set_attr root_span "inspector_seconds"

@@ -63,10 +63,13 @@ type state = {
   (* tiles.(l).(i) = current tile of iteration [i] of loop [l], final
      coordinates; mirrors [sched]. Empty when not tiling. *)
   mutable tiles : int array array;
-  (* adj.(v) = interactions (final coords) incident on node [v] (final
-     coords), with multiplicity; mirrors the *current* churned access.
-     Empty when the incremental path is unsupported. *)
-  mutable adj : int list array;
+  (* adj.(v).(0 .. adj_len.(v) - 1) = interactions (final coords)
+     incident on node [v] (final coords), with multiplicity and in no
+     particular order (growth is a min/max); mirrors the *current*
+     churned access. Removal swaps in the row's last entry, a full row
+     doubles. Empty when the incremental path is unsupported. *)
+  mutable adj : int array array;
+  mutable adj_len : int array;
   mutable cold_seconds : float;
   (* Machine calibration for the cost model: seconds per access touch
      of inspector-style work, and the measured (or initially modeled)
@@ -186,15 +189,14 @@ let reset state (result : Inspector.result) =
       (Some (Array.copy tiles.(k.Kernels.Kernel.seed_loop)), n_tiles, tiles,
        Some sched)
   in
-  let adj =
+  let adj, adj_len =
     match support with
-    | Error _ -> [||]
-    | Ok () ->
-      if sched = None then [||]
-      else
-        Array.init (Access.n_iter trans) (fun v ->
-            Access.fold_touches trans v (fun acc j -> j :: acc) []
-            |> List.rev)
+    | Ok () when sched <> None ->
+      let ptr = trans.Access.ptr and dat = trans.Access.dat in
+      let deg v = ptr.(v + 1) - ptr.(v) in
+      let n = Access.n_iter trans in
+      (Array.init n (fun v -> Array.sub dat ptr.(v) (deg v)), Array.init n deg)
+    | _ -> ([||], [||])
   in
   let n_touches = Access.n_touches k.Kernels.Kernel.access in
   let sched_items =
@@ -207,6 +209,7 @@ let reset state (result : Inspector.result) =
   state.sched <- sched;
   state.tiles <- tiles;
   state.adj <- adj;
+  state.adj_len <- adj_len;
   state.cold_seconds <- cold;
   state.unit_cost <- unit_cost;
   (* First-round estimate: a replay touches each access item about
@@ -243,6 +246,7 @@ let prepare ?(strategy = Inspector.Remap_once) ?(share_symmetric_deps = true)
       sched = None;
       tiles = [||];
       adj = [||];
+      adj_len = [||];
       cold_seconds = 0.;
       unit_cost = 0.;
       replay_est = 0.;
@@ -266,13 +270,12 @@ let check_kernel state (kernel : Kernels.Kernel.t) =
       kernel.Kernels.Kernel.n_inter f.kernel_name
 
 (* Exactly what [Inspector.replay] does with a cache entry: the
-   churned kernel under the frozen composed reorderings. *)
+   churned kernel under the frozen composed reorderings, in one
+   relabel (fresh arrays, so the caller's kernel is never aliased). *)
 let replay state (kernel : Kernels.Kernel.t) =
   let f = state.f in
-  let kernel = kernel.Kernels.Kernel.copy () in
-  let k = kernel.Kernels.Kernel.apply_iter_perm f.delta in
-  if Perm.is_id f.sigma then (k, 0)
-  else (k.Kernels.Kernel.apply_data_perm f.sigma, 1)
+  if Perm.is_id f.sigma then (kernel.Kernels.Kernel.relabel ~delta:f.delta (), 0)
+  else (kernel.Kernels.Kernel.relabel ~sigma:f.sigma ~delta:f.delta (), 1)
 
 let result_of state ~kernel ~sched ~remaps ~seconds =
   let f = state.f in
@@ -357,13 +360,27 @@ let fingerprint state (kernel : Kernels.Kernel.t) =
 (* ---- repair ------------------------------------------------------- *)
 
 (* One occurrence only: adjacency rows carry multiplicity. *)
-let remove_one x row =
-  let rec go = function
-    | [] ->
+let remove_one state v x =
+  let row = state.adj.(v) and len = state.adj_len.(v) in
+  let rec find i =
+    if i >= len then
       invalid "Repair: damage removes interaction %d not incident on node" x
-    | y :: tl -> if y = x then tl else y :: go tl
+    else if row.(i) = x then i
+    else find (i + 1)
   in
-  go row
+  let i = find 0 in
+  row.(i) <- row.(len - 1);
+  state.adj_len.(v) <- len - 1
+
+let add_one state v x =
+  let len = state.adj_len.(v) in
+  if len = Array.length state.adj.(v) then begin
+    let row = Array.make (max 4 (2 * len)) 0 in
+    Array.blit state.adj.(v) 0 row 0 len;
+    state.adj.(v) <- row
+  end;
+  state.adj.(v).(len) <- x;
+  state.adj_len.(v) <- len + 1
 
 let repair ?cache ?pool ?(policy = `Auto) ?(verify = false) state
     (kernel : Kernels.Kernel.t) ~(damage : Datagen.Churn.damage) =
@@ -382,7 +399,7 @@ let repair ?cache ?pool ?(policy = `Auto) ?(verify = false) state
     if Array.length state.adj = 0 then 0
     else
       Array.fold_left
-        (fun acc v -> acc + List.length state.adj.(f.sigma_fwd.(v)))
+        (fun acc v -> acc + state.adj_len.(f.sigma_fwd.(v)))
         0 damage.Datagen.Churn.touched_nodes
       * (n_loops - 1)
   in
@@ -462,10 +479,10 @@ let repair ?cache ?pool ?(policy = `Auto) ?(verify = false) state
             let j' = f.delta_fwd.(j) in
             let ol = f.sigma_fwd.(ol) and or_ = f.sigma_fwd.(or_) in
             let nl = f.sigma_fwd.(nl) and nr = f.sigma_fwd.(nr) in
-            state.adj.(ol) <- remove_one j' state.adj.(ol);
-            state.adj.(or_) <- remove_one j' state.adj.(or_);
-            state.adj.(nl) <- j' :: state.adj.(nl);
-            state.adj.(nr) <- j' :: state.adj.(nr))
+            remove_one state ol j';
+            remove_one state or_ j';
+            add_one state nl j';
+            add_one state nr j')
           damage.Datagen.Churn.rewired;
         (* Re-evaluate growth for the damaged nodes only: backward
            loops take the min seed tile over the incident
@@ -475,24 +492,26 @@ let repair ?cache ?pool ?(policy = `Auto) ?(verify = false) state
         let seed_tile =
           match f.seed_tile_of with Some t -> t | None -> assert false
         in
-        let grow_of adj_row ~backward =
-          match adj_row with
-          | [] -> 0
-          | j :: rest ->
-            List.fold_left
-              (fun acc j ->
-                if backward then min acc seed_tile.(j)
-                else max acc seed_tile.(j))
-              seed_tile.(j) rest
+        let grow_of v ~backward =
+          let row = state.adj.(v) and len = state.adj_len.(v) in
+          if len = 0 then 0
+          else begin
+            let acc = ref seed_tile.(row.(0)) in
+            for i = 1 to len - 1 do
+              let t : int = seed_tile.(row.(i)) in
+              if (backward && t < !acc) || ((not backward) && t > !acc) then
+                acc := t
+            done;
+            !acc
+          end
         in
         Array.iter
           (fun v0 ->
             let v = f.sigma_fwd.(v0) in
-            let row = state.adj.(v) in
             for l = 0 to n_loops - 1 do
               if l <> f.seed_loop then begin
                 incr recomputed;
-                let t_new = grow_of row ~backward:(l < f.seed_loop) in
+                let t_new = grow_of v ~backward:(l < f.seed_loop) in
                 let t_old = state.tiles.(l).(v) in
                 if t_new <> t_old then begin
                   state.tiles.(l).(v) <- t_new;

@@ -10,6 +10,10 @@
      content and the compiler identity, plus an in-process memo, so a
      plan-cache hit never recompiles.
 
+   The key hashes the whole schedule, so it is computed on demand:
+   when Tier B is wanted, or when a caller asks for it through [key]
+   (memoized). An [Interp] specialization never pays for it.
+
    The dynlinked module references only [Stdlib] and publishes its
    executor through [Callback.register "rtrt.spec.<key>"]; the host
    reads the same registry back through a C stub around
@@ -43,8 +47,10 @@ type t = {
       (** Tier B out-of-process compile time; 0 on a cache hit or for
           [Interp]. *)
   cmxs_cache_hit : bool;
-  key : string;  (** 16-hex-digit schedule fingerprint. *)
+  lazy_key : string Lazy.t;  (** forced by [key] *)
 }
+
+let key t = Lazy.force t.lazy_key
 
 (* -------------------------------------------------------------- *)
 (* Observability *)
@@ -243,21 +249,30 @@ let bits_equal (a : float array) (b : float array) =
 let verify_steps = 2
 
 (* The tier choice shared by every kernel: [interp] is the reference
-   walk on the live state; [source ()] the Tier B module, if the
+   walk on the live state; [source key] the Tier B module, if the
    emitter accepts the pair; [bind exec] runs a compiled executor on
-   the live state; [check exec] runs it on a state copy and raises on
-   any bitwise divergence from the reference walk. *)
-let select ?tier_b ~verify ~kernel ~key ~interp ~source ~bind ~check () =
+   the live state; [check key exec] runs it on a state copy and raises
+   on any bitwise divergence from the reference walk. [lazy_key] is
+   forced only on the Tier B path. *)
+let select ?tier_b ~verify ~kernel ~lazy_key ~interp ~source ~bind ~check () =
   let want_b = match tier_b with Some b -> b | None -> enabled () in
   let compiled =
-    if want_b then Option.bind (source ()) (compile_and_load ~kernel ~key)
+    if want_b then
+      let key = Lazy.force lazy_key in
+      Option.bind (source key) (compile_and_load ~kernel ~key)
     else None
   in
   let result =
     match compiled with
     | Some (exec, compile_seconds, cmxs_cache_hit) ->
-      if verify then check exec;
-      { tier = Codegen; run = bind exec; compile_seconds; cmxs_cache_hit; key }
+      if verify then check (Lazy.force lazy_key) exec;
+      {
+        tier = Codegen;
+        run = bind exec;
+        compile_seconds;
+        cmxs_cache_hit;
+        lazy_key;
+      }
     | None ->
       if want_b then Rtrt_obs.Metrics.incr c_fallbacks;
       {
@@ -265,7 +280,7 @@ let select ?tier_b ~verify ~kernel ~key ~interp ~source ~bind ~check () =
         run = interp;
         compile_seconds = 0.;
         cmxs_cache_hit = false;
-        key;
+        lazy_key;
       }
   in
   Rtrt_obs.Metrics.set g_tier (tier_level result.tier);
@@ -291,8 +306,7 @@ let kernel_key (kernel : Kernels.Kernel.t) sched =
 let make ?tier_b ?(verify = true) (kernel : Kernels.Kernel.t)
     (sched : Reorder.Schedule.t) =
   let name = kernel.Kernels.Kernel.name in
-  let key = kernel_key kernel sched in
-  let source () =
+  let source key =
     let ia, _ = kernel.Kernels.Kernel.exec_arrays () in
     if
       Reorder.Schedule.check_fits sched
@@ -305,7 +319,7 @@ let make ?tier_b ?(verify = true) (kernel : Kernels.Kernel.t)
     let ia, fa = exec_args k sched in
     exec ia fa steps
   in
-  let check exec =
+  let check key exec =
     let reference = kernel.Kernels.Kernel.copy () in
     let candidate = kernel.Kernels.Kernel.copy () in
     reference.Kernels.Kernel.run_tiled sched ~steps:verify_steps;
@@ -317,7 +331,8 @@ let make ?tier_b ?(verify = true) (kernel : Kernels.Kernel.t)
            (candidate.Kernels.Kernel.snapshot ()))
     then diverged ~kernel:name ~key ~reference:"run_tiled"
   in
-  select ?tier_b ~verify ~kernel:name ~key
+  select ?tier_b ~verify ~kernel:name
+    ~lazy_key:(lazy (kernel_key kernel sched))
     ~interp:(fun ~steps -> kernel.Kernels.Kernel.run_tiled sched ~steps)
     ~source ~bind:(run_on kernel) ~check ()
 
@@ -329,17 +344,18 @@ let make ?tier_b ?(verify = true) (kernel : Kernels.Kernel.t)
 let make_gs ?tier_b ?(verify = true) (t : Kernels.Gauss_seidel.t)
     (sched : Reorder.Schedule.t) =
   let n = Irgraph.Csr.num_nodes t.Kernels.Gauss_seidel.graph in
-  let key =
-    schedule_key ~kernel:"gs" ~n_nodes:n
-      ~n_inter:(Irgraph.Csr.num_arcs t.Kernels.Gauss_seidel.graph)
-      sched
+  let lazy_key =
+    lazy
+      (schedule_key ~kernel:"gs" ~n_nodes:n
+         ~n_inter:(Irgraph.Csr.num_arcs t.Kernels.Gauss_seidel.graph)
+         sched)
   in
   let interp_walk st ~steps =
     for _s = 1 to steps do
       Kernels.Gauss_seidel.run_sched st sched
     done
   in
-  let source () =
+  let source key =
     if Reorder.Schedule.check_fits sched ~loop_sizes:[| n |] then
       Codegen.specialized_source ~kernel:"gs" ~key sched
     else None
@@ -350,7 +366,7 @@ let make_gs ?tier_b ?(verify = true) (t : Kernels.Gauss_seidel.t)
     let fa = [| st.Kernels.Gauss_seidel.u; st.Kernels.Gauss_seidel.f |] in
     fun ~steps -> exec ia fa steps
   in
-  let check exec =
+  let check key exec =
     let reference = Kernels.Gauss_seidel.copy t in
     let candidate = Kernels.Gauss_seidel.copy t in
     interp_walk reference ~steps:verify_steps;
@@ -363,8 +379,8 @@ let make_gs ?tier_b ?(verify = true) (t : Kernels.Gauss_seidel.t)
              candidate.Kernels.Gauss_seidel.f)
     then diverged ~kernel:"gs" ~key ~reference:"run_sched"
   in
-  select ?tier_b ~verify ~kernel:"gs" ~key ~interp:(interp_walk t) ~source
-    ~bind:(run_on t) ~check ()
+  select ?tier_b ~verify ~kernel:"gs" ~lazy_key ~interp:(interp_walk t)
+    ~source ~bind:(run_on t) ~check ()
 
 (* -------------------------------------------------------------- *)
 (* Source dump for [rtrt codegen --plan]: the exact Tier B module that

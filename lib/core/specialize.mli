@@ -42,8 +42,14 @@ type t = {
   cmxs_cache_hit : bool;
       (** Tier B executor came from the in-process memo or the on-disk
           [.cmxs] cache rather than a fresh compile. *)
-  key : string;  (** 16-hex-digit schedule fingerprint. *)
+  lazy_key : string Lazy.t;  (** Read it through {!key}. *)
 }
+
+(** The 16-hex-digit schedule fingerprint that names the Tier B
+    module. It hashes the whole schedule, so it is computed only when
+    Tier B is wanted or on the first call here (then memoized); an
+    [Interp] specialization that nobody asks never pays for it. *)
+val key : t -> string
 
 (** Is Tier B requested? The [set_enabled] override if any, else
     [RTRT_SPECIALIZE] (default off). *)

@@ -83,7 +83,7 @@ let data_reorderings ~machine ~config (dataset : Datagen.Dataset.t) =
     | None -> []
     | Some coords ->
       let sigma = Reorder.Sfc_reorder.run coords in
-      let kernel' = kernel.Kernels.Kernel.apply_data_perm sigma in
+      let kernel' = Kernels.Kernel.apply_data_perm kernel sigma in
       let plan =
         Compose.Plan.make ~name:"SFC+L" [ lex ]
       in

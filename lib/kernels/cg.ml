@@ -333,8 +333,7 @@ let run_tiled_traced_st st sched ~steps ~layout ~access =
     done
   done
 
-let rec make st =
-  let access = Reorder.Access.of_pairs ~n_data:st.n st.left st.right in
+let rec make ~access st =
   (* Same chain shape as moldyn: both dependence sets of the 3-loop
      chain are constrained by left/right (Section 6 symmetric
      dependences), so conn.(1) doubles as loop 0's successor set. *)
@@ -343,29 +342,24 @@ let rec make st =
       ~loop_sizes:[| st.n; st.m; st.n |]
       ~conn:[| acc; Reorder.Access.transpose acc |]
   in
-  let apply_data_perm sigma =
-    make
+  let relabel ?sigma ?delta () =
+    let left, right, access =
+      Kernel.relabel_pairs ~n_data:st.n ?sigma ?delta st.left st.right
+    in
+    let node = Kernel.scatter sigma in
+    make ~access
       {
         st with
         endpoints_ok = false;
-        left = Reorder.Perm.remap_values sigma st.left;
-        right = Reorder.Perm.remap_values sigma st.right;
-        p = Reorder.Perm.apply_to_float_array sigma st.p;
-        q = Reorder.Perm.apply_to_float_array sigma st.q;
-        x = Reorder.Perm.apply_to_float_array sigma st.x;
-        r = Reorder.Perm.apply_to_float_array sigma st.r;
-        diag = Reorder.Perm.apply_to_float_array sigma st.diag;
-        dot = Reorder.Perm.apply_to_float_array sigma st.dot;
-      }
-  in
-  let apply_iter_perm delta =
-    make
-      {
-        st with
-        endpoints_ok = false;
-        left = Reorder.Perm.apply_to_array delta st.left;
-        right = Reorder.Perm.apply_to_array delta st.right;
-        w = Reorder.Perm.apply_to_float_array delta st.w;
+        left;
+        right;
+        w = Kernel.scatter delta st.w;
+        p = node st.p;
+        q = node st.q;
+        x = node st.x;
+        r = node st.r;
+        diag = node st.diag;
+        dot = node st.dot;
       }
   in
   {
@@ -380,8 +374,7 @@ let rec make st =
     chain_of_access;
     wrap_conn_of_access = (fun _acc -> Reorder.Access.identity st.n);
     symmetric_backward = [ (0, 1) ];
-    apply_data_perm;
-    apply_iter_perm;
+    relabel;
     run = (fun ~steps -> run_plain st ~steps);
     run_tiled = (fun sched ~steps -> run_tiled_st st sched ~steps);
     exec_arrays =
@@ -405,22 +398,7 @@ let rec make st =
           ("diag", Array.copy st.diag);
           ("dot", Array.copy st.dot);
         ]);
-    copy =
-      (fun () ->
-        make
-          {
-            st with
-            endpoints_ok = false;
-            left = Array.copy st.left;
-            right = Array.copy st.right;
-            w = Array.copy st.w;
-            p = Array.copy st.p;
-            q = Array.copy st.q;
-            x = Array.copy st.x;
-            r = Array.copy st.r;
-            diag = Array.copy st.diag;
-            dot = Array.copy st.dot;
-          });
+    copy = (fun () -> relabel ());
   }
 
 (* Deterministic initial conditions derived from ids (same scheme as
@@ -433,12 +411,13 @@ let init_value ~salt i =
 let of_dataset (d : Datagen.Dataset.t) =
   let n = d.Datagen.Dataset.n_nodes in
   let m = Datagen.Dataset.n_interactions d in
-  make
+  let left = d.Datagen.Dataset.left and right = d.Datagen.Dataset.right in
+  make ~access:(Reorder.Access.of_pairs ~n_data:n left right)
     {
       n;
       m;
-      left = Array.copy d.Datagen.Dataset.left;
-      right = Array.copy d.Datagen.Dataset.right;
+      left = Array.copy left;
+      right = Array.copy right;
       w = Array.init m (fun j -> 0.01 *. init_value ~salt:11 j);
       p = Array.init n (init_value ~salt:1);
       q = Array.make n 0.0;

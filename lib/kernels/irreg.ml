@@ -208,8 +208,7 @@ let run_tiled_traced_st st sched ~steps ~layout ~access =
     done
   done
 
-let rec make st =
-  let access = Reorder.Access.of_pairs ~n_data:st.n st.left st.right in
+let rec make ~access st =
   (* Chain [j; k]: k-iterations depend on the j-iterations touching
      their node, i.e. the transpose of the j access. *)
   let chain_of_access acc =
@@ -217,25 +216,19 @@ let rec make st =
       ~loop_sizes:[| st.m; st.n |]
       ~conn:[| Reorder.Access.transpose acc |]
   in
-  let apply_data_perm sigma =
-    make
+  let relabel ?sigma ?delta () =
+    let left, right, access =
+      Kernel.relabel_pairs ~n_data:st.n ?sigma ?delta st.left st.right
+    in
+    make ~access
       {
         st with
         endpoints_ok = false;
-        left = Reorder.Perm.remap_values sigma st.left;
-        right = Reorder.Perm.remap_values sigma st.right;
-        x = Reorder.Perm.apply_to_float_array sigma st.x;
-        y = Reorder.Perm.apply_to_float_array sigma st.y;
-      }
-  in
-  let apply_iter_perm delta =
-    make
-      {
-        st with
-        endpoints_ok = false;
-        left = Reorder.Perm.apply_to_array delta st.left;
-        right = Reorder.Perm.apply_to_array delta st.right;
-        w = Reorder.Perm.apply_to_float_array delta st.w;
+        left;
+        right;
+        w = Kernel.scatter delta st.w;
+        x = Kernel.scatter sigma st.x;
+        y = Kernel.scatter sigma st.y;
       }
   in
   {
@@ -250,8 +243,7 @@ let rec make st =
     chain_of_access;
     wrap_conn_of_access = (fun acc -> acc);
     symmetric_backward = [];
-    apply_data_perm;
-    apply_iter_perm;
+    relabel;
     run = (fun ~steps -> run_plain st ~steps);
     run_tiled = (fun sched ~steps -> run_tiled_st st sched ~steps);
     exec_arrays =
@@ -265,18 +257,7 @@ let rec make st =
       (fun ~pool sched ~level_of -> plan_par_st st ~pool sched ~level_of);
     snapshot =
       (fun () -> [ ("x", Array.copy st.x); ("y", Array.copy st.y) ]);
-    copy =
-      (fun () ->
-        make
-          {
-            st with
-            endpoints_ok = false;
-            left = Array.copy st.left;
-            right = Array.copy st.right;
-            w = Array.copy st.w;
-            x = Array.copy st.x;
-            y = Array.copy st.y;
-          });
+    copy = (fun () -> relabel ());
   }
 
 let init_value ~salt i =
@@ -286,12 +267,13 @@ let init_value ~salt i =
 let of_dataset (d : Datagen.Dataset.t) =
   let n = d.Datagen.Dataset.n_nodes in
   let m = Datagen.Dataset.n_interactions d in
-  make
+  let left = d.Datagen.Dataset.left and right = d.Datagen.Dataset.right in
+  make ~access:(Reorder.Access.of_pairs ~n_data:n left right)
     {
       n;
       m;
-      left = Array.copy d.Datagen.Dataset.left;
-      right = Array.copy d.Datagen.Dataset.right;
+      left = Array.copy left;
+      right = Array.copy right;
       w = Array.init m (init_value ~salt:21);
       x = Array.init n (init_value ~salt:22);
       y = Array.make n 0.0;

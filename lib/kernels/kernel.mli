@@ -1,11 +1,13 @@
 (** The uniform executor interface over the benchmarks.
 
     A kernel owns its data and index arrays; the composition framework
-    transforms it through [apply_data_perm] (a data reordering R) and
-    [apply_iter_perm] (an iteration reordering T of the interaction
-    loop). Executors come in plain (Figure 13) and sparse-tiled
-    (Figure 14) forms, each with a traced twin feeding the cache
-    model. *)
+    transforms it through [relabel], which applies a data reordering R
+    ([sigma]) and an iteration reordering T of the interaction loop
+    ([delta]) in one pass that writes every array once.
+    {!apply_data_perm} and {!apply_iter_perm} are one-reordering
+    helpers over it. Executors come in plain (Figure 13) and
+    sparse-tiled (Figure 14) forms, each with a traced twin feeding
+    the cache model. *)
 
 (** A parallel tiled executor instance: the level-major renumbered
     schedule it executes (the serial twin for comparison) and the
@@ -46,8 +48,14 @@ type t = {
       (** [(backward_loop, conn_index)]: the successor connectivity for
           growing [backward_loop] equals [chain.conn.(conn_index)]
           (Section 6 symmetric dependences) *)
-  apply_data_perm : Reorder.Perm.t -> t;
-  apply_iter_perm : Reorder.Perm.t -> t;
+  relabel : ?sigma:Reorder.Perm.t -> ?delta:Reorder.Perm.t -> unit -> t;
+      (** The kernel under data reordering [sigma] and interaction
+          reordering [delta] (each absent = identity), in one pass:
+          [left'.(delta j) = sigma (left.(j))], node arrays scattered
+          through [sigma], per-interaction arrays through [delta], and
+          the access built alongside. Always fresh arrays, so the
+          result never aliases (nor, when run, mutates) the source.
+          Raises [Invalid_argument] on a size mismatch. *)
   run : steps:int -> unit;
   run_tiled : Reorder.Schedule.t -> steps:int -> unit;
       (** The interpreted walk of a flat-CSR schedule: the default
@@ -74,8 +82,31 @@ type t = {
           DAG levelization [level_of]; [par_run] is bitwise identical
           to [run_tiled] on [par_sched]. *)
   snapshot : unit -> (string * float array) list;
-  copy : unit -> t;
+  copy : unit -> t;  (** [relabel ()]: a deep copy. *)
 }
+
+(** [relabel ~sigma ()]: one data reordering (the per-transformation
+    remap of the Remap_each baseline). *)
+val apply_data_perm : t -> Reorder.Perm.t -> t
+
+(** [relabel ~delta ()]: one interaction reordering. *)
+val apply_iter_perm : t -> Reorder.Perm.t -> t
+
+(** The index-array half of [relabel] for kernels whose interaction
+    loop touches the pair [(left.(j), right.(j))]: fresh
+    [(left', right', access)] under the optional reorderings, written
+    in one pass. *)
+val relabel_pairs :
+  n_data:int ->
+  ?sigma:Reorder.Perm.t ->
+  ?delta:Reorder.Perm.t ->
+  int array ->
+  int array ->
+  int array * int array * Reorder.Access.t
+
+(** A fresh copy of a float array moved through an optional
+    permutation ([out.(forward p i) = a.(i)]). *)
+val scatter : Reorder.Perm.t option -> float array -> float array
 
 val endpoint_scan_skipped : unit -> unit
 (** Bump the [plancache.endpoint_scan_skips] counter: a kernel skipped

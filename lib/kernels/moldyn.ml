@@ -326,8 +326,7 @@ let run_tiled_traced_st st sched ~steps ~layout ~access =
     done
   done
 
-let rec make st =
-  let access = Reorder.Access.of_pairs ~n_data:st.n st.left st.right in
+let rec make ~access st =
   (* The chain's two dependence sets are symmetric (both constrained by
      left/right, Section 6): conn.(1) is the transpose that backward
      growth of loop 0 also needs. *)
@@ -336,31 +335,26 @@ let rec make st =
       ~loop_sizes:[| st.n; st.m; st.n |]
       ~conn:[| acc; Reorder.Access.transpose acc |]
   in
-  let apply_data_perm sigma =
-    make
+  let relabel ?sigma ?delta () =
+    let left, right, access =
+      Kernel.relabel_pairs ~n_data:st.n ?sigma ?delta st.left st.right
+    in
+    let node = Kernel.scatter sigma in
+    make ~access
       {
         st with
         endpoints_ok = false;
-        left = Reorder.Perm.remap_values sigma st.left;
-        right = Reorder.Perm.remap_values sigma st.right;
-        x = Reorder.Perm.apply_to_float_array sigma st.x;
-        y = Reorder.Perm.apply_to_float_array sigma st.y;
-        z = Reorder.Perm.apply_to_float_array sigma st.z;
-        vx = Reorder.Perm.apply_to_float_array sigma st.vx;
-        vy = Reorder.Perm.apply_to_float_array sigma st.vy;
-        vz = Reorder.Perm.apply_to_float_array sigma st.vz;
-        fx = Reorder.Perm.apply_to_float_array sigma st.fx;
-        fy = Reorder.Perm.apply_to_float_array sigma st.fy;
-        fz = Reorder.Perm.apply_to_float_array sigma st.fz;
-      }
-  in
-  let apply_iter_perm delta =
-    make
-      {
-        st with
-        endpoints_ok = false;
-        left = Reorder.Perm.apply_to_array delta st.left;
-        right = Reorder.Perm.apply_to_array delta st.right;
+        left;
+        right;
+        x = node st.x;
+        y = node st.y;
+        z = node st.z;
+        vx = node st.vx;
+        vy = node st.vy;
+        vz = node st.vz;
+        fx = node st.fx;
+        fy = node st.fy;
+        fz = node st.fz;
       }
   in
   {
@@ -375,8 +369,7 @@ let rec make st =
     chain_of_access;
     wrap_conn_of_access = (fun _acc -> Reorder.Access.identity st.n);
     symmetric_backward = [ (0, 1) ];
-    apply_data_perm;
-    apply_iter_perm;
+    relabel;
     run = (fun ~steps -> run_plain st ~steps);
     run_tiled = (fun sched ~steps -> run_tiled_st st sched ~steps);
     exec_arrays =
@@ -403,24 +396,7 @@ let rec make st =
           ("fy", Array.copy st.fy);
           ("fz", Array.copy st.fz);
         ]);
-    copy =
-      (fun () ->
-        make
-          {
-            st with
-            endpoints_ok = false;
-            left = Array.copy st.left;
-            right = Array.copy st.right;
-            x = Array.copy st.x;
-            y = Array.copy st.y;
-            z = Array.copy st.z;
-            vx = Array.copy st.vx;
-            vy = Array.copy st.vy;
-            vz = Array.copy st.vz;
-            fx = Array.copy st.fx;
-            fy = Array.copy st.fy;
-            fz = Array.copy st.fz;
-          });
+    copy = (fun () -> relabel ());
   }
 
 (* Deterministic initial conditions derived from node ids, so two runs
@@ -432,12 +408,13 @@ let init_value ~salt i =
 let of_dataset (d : Datagen.Dataset.t) =
   let n = d.Datagen.Dataset.n_nodes in
   let m = Datagen.Dataset.n_interactions d in
-  make
+  let left = d.Datagen.Dataset.left and right = d.Datagen.Dataset.right in
+  make ~access:(Reorder.Access.of_pairs ~n_data:n left right)
     {
       n;
       m;
-      left = Array.copy d.Datagen.Dataset.left;
-      right = Array.copy d.Datagen.Dataset.right;
+      left = Array.copy left;
+      right = Array.copy right;
       x = Array.init n (init_value ~salt:1);
       y = Array.init n (init_value ~salt:2);
       z = Array.init n (init_value ~salt:3);

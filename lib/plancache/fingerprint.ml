@@ -21,36 +21,47 @@ let fnv_prime = 0x100000001b3L
 
 let create () = { h = fnv_offset }
 
-let add_byte b c =
-  b.h <- Int64.mul (Int64.logxor b.h (Int64.of_int (c land 0xff))) fnv_prime
+(* Without flambda, an [int64] stored into a record field is boxed on
+   every store, so the hot paths below thread the state through a
+   local accumulator (which ocamlopt keeps unboxed) and write it back
+   once per ingredient. *)
+let[@inline] step h c = Int64.mul (Int64.logxor h (Int64.of_int (c land 0xff))) fnv_prime
 
-(* 64-bit little-endian, so every int hashes the same number of
-   bytes. *)
-let add_raw_int64 b v =
+(* The 8 little-endian bytes of [n] sign-extended to 64 bits, so every
+   int hashes the same number of bytes ([asr] sign-extends, so byte 7
+   carries the sign exactly as in [Int64.of_int n]). *)
+let[@inline] step_int h n =
+  let h = ref h in
   for i = 0 to 7 do
-    add_byte b (Int64.to_int (Int64.shift_right_logical v (8 * i)))
-  done
+    h := step !h (n asr (8 * i))
+  done;
+  !h
 
-let add_int b n =
-  add_byte b 0x01;
-  add_raw_int64 b (Int64.of_int n)
+let[@inline] step_int64 h v =
+  let h = ref h in
+  for i = 0 to 7 do
+    h := step !h (Int64.to_int (Int64.shift_right_logical v (8 * i)))
+  done;
+  !h
 
-let add_bool b v =
-  add_byte b 0x02;
-  add_byte b (if v then 1 else 0)
+let add_int b n = b.h <- step_int (step b.h 0x01) n
+
+let add_bool b v = b.h <- step (step b.h 0x02) (if v then 1 else 0)
 
 let add_string b s =
-  add_byte b 0x03;
-  add_raw_int64 b (Int64.of_int (String.length s));
-  String.iter (fun c -> add_byte b (Char.code c)) s
+  let h = ref (step_int (step b.h 0x03) (String.length s)) in
+  for i = 0 to String.length s - 1 do
+    h := step !h (Char.code (String.unsafe_get s i))
+  done;
+  b.h <- !h
 
 let add_int_array b a =
-  add_byte b 0x04;
-  add_raw_int64 b (Int64.of_int (Array.length a));
-  Array.iter (fun n -> add_raw_int64 b (Int64.of_int n)) a
+  let h = ref (step_int (step b.h 0x04) (Array.length a)) in
+  for i = 0 to Array.length a - 1 do
+    h := step_int !h (Array.unsafe_get a i)
+  done;
+  b.h <- !h
 
-let add_float b f =
-  add_byte b 0x05;
-  add_raw_int64 b (Int64.bits_of_float f)
+let add_float b f = b.h <- step_int64 (step b.h 0x05) (Int64.bits_of_float f)
 
 let value b = b.h

@@ -40,7 +40,10 @@ let of_inverse inv =
 let unsafe_of_forward a = { forward = a }
 
 let id n = { forward = Array.init n (fun i -> i) }
-let is_id p = Array.for_all2 ( = ) p.forward (id (size p)).forward
+let is_id p =
+  let a = p.forward in
+  let rec go i = i >= Array.length a || (Array.unsafe_get a i = i && go (i + 1)) in
+  go 0
 
 let forward p i = p.forward.(i)
 

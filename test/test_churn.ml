@@ -261,6 +261,87 @@ let test_cache_block_unsupported () =
     (results_equal repaired (Inspector.run plan kernel'))
 
 (* ------------------------------------------------------------------ *)
+(* The repair adjacency under a hand-built batch *)
+
+(* A ring over 16 nodes plus chords; node 0 starts with degree 3. *)
+let ring_dataset () =
+  dataset_of
+    ( 16,
+      [|
+        (0, 1); (0, 2); (0, 3); (3, 4); (5, 6); (6, 7); (7, 8); (8, 9);
+        (9, 10); (10, 11); (11, 12); (12, 13); (13, 14); (14, 15); (15, 1);
+        (2, 5); (4, 9); (1, 12);
+      |] )
+
+(* Apply hand-written rewires [(j, (old_l, old_r), (new_l, new_r))];
+   every endpoint of a rewire counts as touched (recomputing an
+   unchanged node is harmless). *)
+let hand_churn (d : Datagen.Dataset.t) rewired =
+  let left = Array.copy d.Datagen.Dataset.left in
+  let right = Array.copy d.Datagen.Dataset.right in
+  Array.iter
+    (fun (j, _, (nl, nr)) ->
+      left.(j) <- nl;
+      right.(j) <- nr)
+    rewired;
+  let touched =
+    Array.to_list rewired
+    |> List.concat_map (fun (_, (ol, or_), (nl, nr)) -> [ ol; or_; nl; nr ])
+    |> List.sort_uniq compare |> Array.of_list
+  in
+  ( { d with Datagen.Dataset.left; right },
+    {
+      Datagen.Churn.rewired;
+      touched_nodes = touched;
+      requested_edges = Array.length rewired;
+      swaps = 0;
+    } )
+
+(* One batch in which node 0 first loses all 3 incident interactions
+   and then gains 4 (more than its seeded row holds, so the row must
+   grow), while node 3 is touched by three records (gains one
+   interaction, loses and regains another, loses a third). *)
+let test_adjacency_row_growth () =
+  let d = ring_dataset () in
+  let plan = Plan.with_fst ~seed_part_size:4 Plan.cpack_lexgroup in
+  let kernel = Kernels.Moldyn.of_dataset d in
+  let state = Repair.prepare plan (Inspector.run plan kernel) in
+  let churned, damage =
+    hand_churn d
+      [|
+        (0, (0, 1), (3, 5));
+        (1, (0, 2), (4, 6));
+        (2, (0, 3), (7, 3));
+        (3, (3, 4), (0, 9));
+        (4, (5, 6), (0, 10));
+        (5, (6, 7), (0, 11));
+        (6, (7, 8), (0, 13));
+      |]
+  in
+  let kernel' = Kernels.Moldyn.of_dataset churned in
+  let repaired, info =
+    Repair.repair ~policy:`Repair ~verify:true state kernel' ~damage
+  in
+  Alcotest.(check bool) "incremental" false info.Repair.fell_back;
+  Alcotest.(check (option bool)) "verified" (Some true) info.Repair.verified;
+  Alcotest.(check bool)
+    "repair = regrowth" true
+    (results_equal repaired (Repair.regrow state kernel'));
+  (* A rewire whose old endpoints do not hold the interaction is
+     rejected, not silently absorbed. *)
+  let state = Repair.prepare plan (Inspector.run plan kernel) in
+  let bogus, damage = hand_churn d [| (4, (0, 1), (0, 6)) |] in
+  match
+    Repair.repair ~policy:`Repair state (Kernels.Moldyn.of_dataset bogus)
+      ~damage
+  with
+  | _ -> Alcotest.fail "expected Invalid_argument"
+  | exception Invalid_argument msg ->
+    Alcotest.(check bool)
+      "names the missing incidence" true
+      (Str.string_match (Str.regexp ".*not incident on node") msg 0)
+
+(* ------------------------------------------------------------------ *)
 (* Plan-cache and specialization interplay *)
 
 let test_plancache_interop () =
@@ -320,7 +401,7 @@ let test_no_stale_specialization () =
   let new_spec = Specialize.make repaired.Inspector.kernel new_sched in
   Alcotest.(check bool)
     "specialization key re-fingerprints" true
-    (old_spec.Specialize.key <> new_spec.Specialize.key)
+    (Specialize.key old_spec <> Specialize.key new_spec)
 
 (* ------------------------------------------------------------------ *)
 
@@ -344,6 +425,11 @@ let () =
             test_auto_fallback;
           Alcotest.test_case "cache-block plans fall back" `Quick
             test_cache_block_unsupported;
+        ] );
+      ( "adjacency",
+        [
+          Alcotest.test_case "row growth and repeat touches" `Quick
+            test_adjacency_row_growth;
         ] );
       ( "interop",
         [

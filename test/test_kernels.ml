@@ -30,7 +30,7 @@ let test_identity_perm_roundtrip () =
   List.iter
     (fun (name, (k : Kernels.Kernel.t)) ->
       let id = Reorder.Perm.id k.Kernels.Kernel.n_nodes in
-      let k' = k.Kernels.Kernel.apply_data_perm id in
+      let k' = Kernels.Kernel.apply_data_perm k id in
       let r1 = reference k ~steps:3 in
       let r2 = reference k' ~steps:3 in
       check_close (name ^ " identity") r1 r2)
@@ -46,7 +46,7 @@ let test_data_perm_correct () =
         Reorder.Perm.of_forward
           (Datagen.Rng.permutation rng k.Kernels.Kernel.n_nodes)
       in
-      let k' = k.Kernels.Kernel.apply_data_perm sigma in
+      let k' = Kernels.Kernel.apply_data_perm k sigma in
       let r_orig = reference k ~steps:3 in
       k'.Kernels.Kernel.run ~steps:3;
       let r_perm =
@@ -64,7 +64,7 @@ let test_iter_perm_correct () =
         Reorder.Perm.of_forward
           (Datagen.Rng.permutation rng k.Kernels.Kernel.n_inter)
       in
-      let k' = k.Kernels.Kernel.apply_iter_perm delta in
+      let k' = Kernels.Kernel.apply_iter_perm k delta in
       let r_orig = reference k ~steps:3 in
       let r_perm = reference k' ~steps:3 in
       check_close (name ^ " iter perm") r_orig r_perm)
@@ -264,6 +264,123 @@ let prop_gs_tiled_equals_plain =
       Kernels.Gauss_seidel.run_tiled t2 tiling;
       Array.for_all2 ( = ) t1.Kernels.Gauss_seidel.u t2.Kernels.Gauss_seidel.u)
 
+(* [relabel ?sigma ?delta ()] against a reference assembled from the
+   single-purpose [Perm] helpers over [exec_arrays]: index arrays moved
+   through delta then remapped through sigma, node arrays scattered
+   through sigma, per-interaction arrays through delta. Repair's
+   regrowth oracle replays through the same [relabel], so this is the
+   check that can catch a bug in it. Absent, identity and random
+   permutations are all drawn. *)
+let prop_relabel_matches_reference =
+  let of_datasets =
+    [|
+      ("moldyn", Kernels.Moldyn.of_dataset);
+      ("nbf", Kernels.Nbf.of_dataset);
+      ("irreg", Kernels.Irreg.of_dataset);
+      ("cg", Kernels.Cg.of_dataset);
+    |]
+  in
+  let arb =
+    QCheck.make
+      ~print:(fun (ki, n, pairs, seed, sk, dk) ->
+        Printf.sprintf "%s n=%d m=%d seed=%d sigma=%d delta=%d"
+          (fst of_datasets.(ki)) n (Array.length pairs) seed sk dk)
+      QCheck.Gen.(
+        let* ki = int_range 0 (Array.length of_datasets - 1) in
+        let* n = int_range 4 30 in
+        (* m > n, so array lengths tell node arrays from
+           per-interaction ones. *)
+        let* m = int_range (n + 1) 90 in
+        let* pairs =
+          array_repeat m (pair (int_range 0 (n - 1)) (int_range 0 (n - 1)))
+        in
+        let* seed = int_range 0 10_000 in
+        let* sk = int_range 0 2 and* dk = int_range 0 2 in
+        return (ki, n, pairs, seed, sk, dk))
+  in
+  QCheck.Test.make ~name:"relabel matches an independent reference" ~count:300
+    arb (fun (ki, n, pairs, seed, sk, dk) ->
+      let module P = Reorder.Perm in
+      let module K = Kernels.Kernel in
+      let d =
+        {
+          Datagen.Dataset.name = "rand";
+          n_nodes = n;
+          left = Array.map fst pairs;
+          right = Array.map snd pairs;
+          coords = None;
+        }
+      in
+      let k = (snd of_datasets.(ki)) d in
+      (* One plain step first, so every float array holds distinct
+         values worth moving. *)
+      k.K.run ~steps:1;
+      let m = k.K.n_inter in
+      let rng = Datagen.Rng.create seed in
+      let draw kind size =
+        match kind with
+        | 0 -> None
+        | 1 -> Some (P.id size)
+        | _ -> Some (P.of_forward (Datagen.Rng.permutation rng size))
+      in
+      let sigma = draw sk n and delta = draw dk m in
+      let s = Option.value sigma ~default:(P.id n) in
+      let dl = Option.value delta ~default:(P.id m) in
+      let ia, fa = k.K.exec_arrays () in
+      let saved_ia = Array.map Array.copy ia and saved_fa = Array.map Array.copy fa in
+      let ref_ia = Array.map (fun a -> P.remap_values s (P.apply_to_array dl a)) ia in
+      let ref_fa =
+        Array.map
+          (fun a -> P.apply_to_float_array (if Array.length a = n then s else dl) a)
+          fa
+      in
+      let ref_access = Reorder.Access.of_pairs ~n_data:n ref_ia.(0) ref_ia.(1) in
+      let k' = k.K.relabel ?sigma ?delta () in
+      let ia', fa' = k'.K.exec_arrays () in
+      let named a = Array.to_list (Array.mapi (fun i x -> (string_of_int i, x)) a) in
+      let floats_equal a b = K.snapshots_equal_bits (named a) (named b) in
+      let fresh =
+        Array.for_all (fun a -> Array.for_all (fun b -> a != b) ia) ia'
+        && Array.for_all (fun a -> Array.for_all (fun b -> a != b) fa) fa'
+      in
+      let arrays_ok = ia' = ref_ia && floats_equal fa' ref_fa in
+      let access_ok =
+        let a = k'.K.access in
+        Reorder.Access.n_iter a = m
+        && Reorder.Access.n_data a = n
+        && a.Reorder.Access.ptr = ref_access.Reorder.Access.ptr
+        && a.Reorder.Access.dat = ref_access.Reorder.Access.dat
+      in
+      let snapshot_ok =
+        K.snapshots_equal_bits (k'.K.snapshot ())
+          (List.map (fun (name, a) -> (name, P.apply_to_float_array s a)) (k.K.snapshot ()))
+      in
+      (* Two tiled steps on the relabeled kernel and on a copy holding
+         the reference arrays (written in place through exec_arrays). *)
+      let chain = k'.K.chain_of_access ref_access in
+      let seed_loop = k'.K.seed_loop in
+      let seed_tiles =
+        Reorder.Sparse_tile.tile_fn_of_partition
+          (Irgraph.Partition.block ~n:k'.K.loop_sizes.(seed_loop) ~part_size:5)
+      in
+      let sched =
+        Reorder.Schedule.of_tile_fns
+          (Reorder.Sparse_tile.full ~chain ~seed:seed_loop ~seed_tiles ())
+      in
+      let r = k.K.copy () in
+      let ria, rfa = r.K.exec_arrays () in
+      Array.iteri (fun i a -> Array.blit a 0 ria.(i) 0 (Array.length a)) ref_ia;
+      Array.iteri (fun i a -> Array.blit a 0 rfa.(i) 0 (Array.length a)) ref_fa;
+      r.K.run_tiled sched ~steps:2;
+      k'.K.run_tiled sched ~steps:2;
+      let run_ok =
+        K.snapshots_equal_bits (k'.K.snapshot ()) (r.K.snapshot ())
+        && floats_equal (snd (k'.K.exec_arrays ())) rfa
+      in
+      (* Running the relabeled kernel never touched the source. *)
+      let source_ok = ia = saved_ia && floats_equal fa saved_fa in
+      fresh && arrays_ok && access_ok && snapshot_ok && run_ok && source_ok)
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -290,5 +407,10 @@ let () =
           Alcotest.test_case "traced counts" `Quick test_gs_traced_counts;
         ] );
       ( "prop",
-        qsuite [ prop_gs_constraints; prop_gs_tiled_equals_plain ] );
+        qsuite
+          [
+            prop_relabel_matches_reference;
+            prop_gs_constraints;
+            prop_gs_tiled_equals_plain;
+          ] );
     ]

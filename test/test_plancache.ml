@@ -88,6 +88,55 @@ let test_fingerprint_ignores_plan_name () =
        (Inspector.fingerprint tiled_plan kernel)
        (Inspector.fingerprint renamed kernel))
 
+(* Golden values: plan-cache files and Tier B .cmxs files are named by
+   these hashes, so any change to the byte stream (tags, widths,
+   endianness, sign extension) would orphan every cache on disk. *)
+let golden_fingerprints =
+  let h ingredients =
+    let b = F.create () in
+    List.iter (fun add -> add b) ingredients;
+    F.to_hex (F.value b)
+  in
+  [
+    ("empty", h [], "cbf29ce484222325");
+    ("int 0", h [ (fun b -> F.add_int b 0) ], "529a2cdc8ff533ac");
+    ("int -1", h [ (fun b -> F.add_int b (-1)) ], "685cd83ad34b3424");
+    ("int max_int", h [ (fun b -> F.add_int b max_int) ], "685d183ad34ba0e4");
+    ("int min_int", h [ (fun b -> F.add_int b min_int) ], "5299ecdc8ff4c6ec");
+    ( "int array",
+      h
+        [
+          (fun b ->
+            F.add_int_array b [| 0; 1; -1; 255; 256; 123456789; max_int; min_int |]);
+        ],
+      "c565e1435d9a3f32" );
+    ("empty int array", h [ (fun b -> F.add_int_array b [||]) ], "985b2cc3d2245173");
+    ("string", h [ (fun b -> F.add_string b "rtrt plan-cache \xff\x00") ], "f8baf2888dcc8f37");
+    ("empty string", h [ (fun b -> F.add_string b "") ], "796ed797b92b1fd2");
+    ("bool true", h [ (fun b -> F.add_bool b true) ], "08395307b4f1348c");
+    ("bool false", h [ (fun b -> F.add_bool b false) ], "08395407b4f1363f");
+    ("float 1.5", h [ (fun b -> F.add_float b 1.5) ], "05af56663e2b5c35");
+    ("float -0.", h [ (fun b -> F.add_float b (-0.)) ], "04f157663d8a34e0");
+    ("float -inf", h [ (fun b -> F.add_float b Float.neg_infinity) ], "059396663e134e3d");
+    ( "mixed",
+      h
+        [
+          (fun b -> F.add_string b "moldyn");
+          (fun b -> F.add_int b 4096);
+          (fun b -> F.add_int_array b (Array.init 100 (fun i -> (i * 7919) - 300)));
+          (fun b -> F.add_bool b true);
+          (fun b -> F.add_float b 0.1);
+        ],
+      "4d283a9fdfd6cfe8" );
+  ]
+
+let test_fingerprint_golden () =
+  List.iter
+    (fun (what, got, expected) -> Alcotest.(check string) what expected got)
+    golden_fingerprints;
+  Alcotest.(check string) "inspector key (moldyn, CL+FST)" "9e7c9cee0d937263"
+    (F.to_hex (Inspector.fingerprint tiled_plan (test_kernel ())))
+
 (* ------------------------------------------------------------------ *)
 (* Memory tier: hit/miss and bit-identical replay                      *)
 
@@ -385,6 +434,7 @@ let () =
           Alcotest.test_case "sensitive" `Quick test_fingerprint_sensitive;
           Alcotest.test_case "ignores plan name" `Quick
             test_fingerprint_ignores_plan_name;
+          Alcotest.test_case "golden values" `Quick test_fingerprint_golden;
         ] );
       ( "memory tier",
         [

@@ -350,7 +350,7 @@ let test_endpoint_scan_memo () =
       (* A data permutation rebuilds the index arrays: the memo must
          not survive it. *)
       let k' =
-        k.Kernels.Kernel.apply_data_perm
+        Kernels.Kernel.apply_data_perm k
           (Reorder.Perm.id k.Kernels.Kernel.n_nodes)
       in
       let mid = Rtrt_obs.Metrics.value skips in
