@@ -226,94 +226,105 @@ let full_report (st : Symbolic.state) ~(program : Symbolic.program) =
    Emitted executor type:  int array array -> float array array ->
    int -> unit, where the int arrays are the kernel's index arrays
    with the schedule's [items] appended last, and the float arrays are
-   the kernel's data arrays in [Kernels.Kernel.exec_arrays] order. *)
+   the kernel's data arrays in [Kernels.Kernel.exec_arrays] order (for
+   moldyn/nbf/irreg: per-interaction arrays, then the one regrouped
+   node array). The host checks every length against
+   [float_lengths] before a compiled executor first runs. *)
 
 (* Float constants are emitted as hex literals so the compiled
    executor computes with bit-for-bit the constants the interpreted
    executor uses. *)
 let hex_float f = Printf.sprintf "(%h)" f
 
+(* How long the executor assumes a float array is: [Per_node k] for
+   k regrouped fields per node (k * n doubles), [Per_inter] for one
+   double per interaction. *)
+type extent = Per_node of int | Per_inter
+
 (* Per-kernel emission tables: int-array names (items is appended by
-   the host), float-array names, chain length, and the loop body for
-   each chain class with [v] the iteration variable. Bodies mirror the
-   kernels' unsafe loop bodies statement for statement. *)
+   the host), float arrays with their extents, chain length, and the
+   loop body for each chain class with [v] the iteration variable.
+   Bodies mirror the kernels' unsafe loop bodies statement for
+   statement, over the same regrouped node array [nd] (node i's field
+   f at [k*i + f]). *)
 let spec_tables :
-    (string * (string list * string list * int * (int -> string list))) list =
+    (string
+    * (string list * (string * extent) list * int * (int -> string list)))
+    list =
   let dt = hex_float 0.0001 in
   let relax = hex_float 0.001 in
   let damping = hex_float 1.0 in
   let one = hex_float 1.0 in
   let two = hex_float 2.0 in
   let g = Printf.sprintf in
+  (* Field [off] of the record starting at [b]. *)
+  let at b off = if off = 0 then b else g "(%s + %d)" b off in
+  let get b off = "Array.unsafe_get nd " ^ at b off in
+  (* [nd.(b + off) <- nd.(b + off) sign (gg *. d)]: one force
+     accumulation. *)
+  let acc off sign b d =
+    g "Array.unsafe_set nd %s (%s %s (gg *. %s));" (at b off) (get b off) sign d
+  in
+  let forces base =
+    [
+      acc base "+." "l" "dx";
+      acc base "-." "r" "dx";
+      acc (base + 1) "+." "l" "dy";
+      acc (base + 1) "-." "r" "dy";
+      acc (base + 2) "+." "l" "dz";
+      acc (base + 2) "-." "r" "dz";
+    ]
+  in
+  let distance k =
+    [
+      g "let l = %d * Array.unsafe_get left v and r = %d * Array.unsafe_get right v in" k k;
+      g "let dx = %s -. %s in" (get "l" 0) (get "r" 0);
+      g "let dy = %s -. %s in" (get "l" 1) (get "r" 1);
+      g "let dz = %s -. %s in" (get "l" 2) (get "r" 2);
+      g "let r2 = (dx *. dx) +. (dy *. dy) +. (dz *. dz) +. %s in" one;
+    ]
+  in
   let moldyn_body = function
     | 0 ->
-      [
-        g "let i = v in";
-        g "Array.unsafe_set x i (Array.unsafe_get x i +. (%s *. (Array.unsafe_get vx i +. Array.unsafe_get fx i)));" dt;
-        g "Array.unsafe_set y i (Array.unsafe_get y i +. (%s *. (Array.unsafe_get vy i +. Array.unsafe_get fy i)));" dt;
-        g "Array.unsafe_set z i (Array.unsafe_get z i +. (%s *. (Array.unsafe_get vz i +. Array.unsafe_get fz i)));" dt;
-      ]
-    | 1 ->
-      [
-        g "let l = Array.unsafe_get left v and r = Array.unsafe_get right v in";
-        g "let dx = Array.unsafe_get x l -. Array.unsafe_get x r in";
-        g "let dy = Array.unsafe_get y l -. Array.unsafe_get y r in";
-        g "let dz = Array.unsafe_get z l -. Array.unsafe_get z r in";
-        g "let r2 = (dx *. dx) +. (dy *. dy) +. (dz *. dz) +. %s in" one;
-        g "let gg = %s /. r2 in" one;
-        g "Array.unsafe_set fx l (Array.unsafe_get fx l +. (gg *. dx));";
-        g "Array.unsafe_set fx r (Array.unsafe_get fx r -. (gg *. dx));";
-        g "Array.unsafe_set fy l (Array.unsafe_get fy l +. (gg *. dy));";
-        g "Array.unsafe_set fy r (Array.unsafe_get fy r -. (gg *. dy));";
-        g "Array.unsafe_set fz l (Array.unsafe_get fz l +. (gg *. dz));";
-        g "Array.unsafe_set fz r (Array.unsafe_get fz r -. (gg *. dz));";
-      ]
+      g "let b = 9 * v in"
+      :: List.init 3 (fun d ->
+             g "Array.unsafe_set nd %s (%s +. (%s *. (%s +. %s)));" (at "b" d)
+               (get "b" d) dt (get "b" (d + 3)) (get "b" (d + 6)))
+    | 1 -> distance 9 @ (g "let gg = %s /. r2 in" one :: forces 6)
     | _ ->
-      [
-        g "let k = v in";
-        g "Array.unsafe_set vx k (Array.unsafe_get vx k +. (%s *. Array.unsafe_get fx k));" dt;
-        g "Array.unsafe_set vy k (Array.unsafe_get vy k +. (%s *. Array.unsafe_get fy k));" dt;
-        g "Array.unsafe_set vz k (Array.unsafe_get vz k +. (%s *. Array.unsafe_get fz k));" dt;
-      ]
+      g "let b = 9 * v in"
+      :: List.init 3 (fun d ->
+             g "Array.unsafe_set nd %s (%s +. (%s *. %s));" (at "b" (d + 3))
+               (get "b" (d + 3)) dt (get "b" (d + 6)))
   in
   let nbf_body = function
     | 0 ->
-      [
-        g "let i = v in";
-        g "Array.unsafe_set x i (Array.unsafe_get x i +. (%s *. Array.unsafe_get fx i));" dt;
-        g "Array.unsafe_set y i (Array.unsafe_get y i +. (%s *. Array.unsafe_get fy i));" dt;
-        g "Array.unsafe_set z i (Array.unsafe_get z i +. (%s *. Array.unsafe_get fz i));" dt;
-      ]
+      g "let b = 6 * v in"
+      :: List.init 3 (fun d ->
+             g "Array.unsafe_set nd %s (%s +. (%s *. %s));" (at "b" d)
+               (get "b" d) dt (get "b" (d + 3)))
     | _ ->
-      [
-        g "let l = Array.unsafe_get left v and r = Array.unsafe_get right v in";
-        g "let dx = Array.unsafe_get x l -. Array.unsafe_get x r in";
-        g "let dy = Array.unsafe_get y l -. Array.unsafe_get y r in";
-        g "let dz = Array.unsafe_get z l -. Array.unsafe_get z r in";
-        g "let r2 = (dx *. dx) +. (dy *. dy) +. (dz *. dz) +. %s in" one;
-        g "let ir2 = %s /. r2 in" one;
-        g "let ir6 = ir2 *. ir2 *. ir2 in";
-        g "let gg = ((%s *. ir6 *. ir6) -. ir6) *. ir2 in" two;
-        g "Array.unsafe_set fx l (Array.unsafe_get fx l +. (gg *. dx));";
-        g "Array.unsafe_set fx r (Array.unsafe_get fx r -. (gg *. dx));";
-        g "Array.unsafe_set fy l (Array.unsafe_get fy l +. (gg *. dy));";
-        g "Array.unsafe_set fy r (Array.unsafe_get fy r -. (gg *. dy));";
-        g "Array.unsafe_set fz l (Array.unsafe_get fz l +. (gg *. dz));";
-        g "Array.unsafe_set fz r (Array.unsafe_get fz r -. (gg *. dz));";
-      ]
+      distance 6
+      @ [
+          g "let ir2 = %s /. r2 in" one;
+          g "let ir6 = ir2 *. ir2 *. ir2 in";
+          g "let gg = ((%s *. ir6 *. ir6) -. ir6) *. ir2 in" two;
+        ]
+      @ forces 3
   in
   let irreg_body = function
     | 0 ->
       [
-        g "let l = Array.unsafe_get left v and r = Array.unsafe_get right v in";
-        g "let d = Array.unsafe_get w v *. (Array.unsafe_get x l -. Array.unsafe_get x r) in";
-        g "Array.unsafe_set y l (Array.unsafe_get y l +. d);";
-        g "Array.unsafe_set y r (Array.unsafe_get y r -. d);";
+        g "let l = 2 * Array.unsafe_get left v and r = 2 * Array.unsafe_get right v in";
+        g "let d = Array.unsafe_get w v *. (%s -. %s) in" (get "l" 0) (get "r" 0);
+        g "Array.unsafe_set nd (l + 1) (%s +. d);" (get "l" 1);
+        g "Array.unsafe_set nd (r + 1) (%s -. d);" (get "r" 1);
       ]
     | _ ->
       [
-        g "let k = v in";
-        g "Array.unsafe_set x k (Array.unsafe_get x k +. (%s *. Array.unsafe_get y k));" relax;
+        g "let b = 2 * v in";
+        g "Array.unsafe_set nd b (%s +. (%s *. %s));" (get "b" 0) relax
+          (get "b" 1);
       ]
   in
   let gs_body _ =
@@ -324,16 +335,21 @@ let spec_tables :
       g "Array.unsafe_set u v (!acc /. (float_of_int (ahi - alo) +. %s));" damping;
     ]
   in
+  let pair = [ "left"; "right" ] in
   [
-    ( "moldyn",
-      ( [ "left"; "right" ],
-        [ "x"; "y"; "z"; "vx"; "vy"; "vz"; "fx"; "fy"; "fz" ],
-        3,
-        moldyn_body ) );
-    ("nbf", ([ "left"; "right" ], [ "x"; "y"; "z"; "fx"; "fy"; "fz" ], 2, nbf_body));
-    ("irreg", ([ "left"; "right" ], [ "w"; "x"; "y" ], 2, irreg_body));
-    ("gs", ([ "ptr"; "adj" ], [ "u"; "f" ], 1, gs_body));
+    ("moldyn", (pair, [ ("nd", Per_node 9) ], 3, moldyn_body));
+    ("nbf", (pair, [ ("nd", Per_node 6) ], 2, nbf_body));
+    ("irreg", (pair, [ ("w", Per_inter); ("nd", Per_node 2) ], 2, irreg_body));
+    ("gs", ([ "ptr"; "adj" ], [ ("u", Per_node 1); ("f", Per_node 1) ], 1, gs_body));
   ]
+
+let float_lengths ~kernel ~n_nodes ~n_inter =
+  Option.map
+    (fun (_, floats, _, _) ->
+      List.map
+        (function _, Per_node k -> k * n_nodes | _, Per_inter -> n_inter)
+        floats)
+    (List.assoc_opt kernel spec_tables)
 
 (* Rows whose run count is at most this are unrolled into literal
    range loops; denser rows fall back to one items-driven loop with
@@ -377,7 +393,7 @@ let specialized_source ?(max_bytes = default_max_source_bytes) ~kernel ~key
     add "  let items = Array.unsafe_get ia %d in\n" (List.length int_names);
     add "  ignore (items : int array);\n";
     List.iteri
-      (fun i n -> add "  let %s = Array.unsafe_get fa %d in\n" n i)
+      (fun i (n, _) -> add "  let %s = Array.unsafe_get fa %d in\n" n i)
       float_names;
     add "  for _s = 1 to steps do\n";
     let row_ptr = Reorder.Schedule.row_ptr sched in

@@ -34,6 +34,13 @@ val executor : Symbolic.state -> program:Symbolic.program -> string
     the executor. *)
 val full_report : Symbolic.state -> program:Symbolic.program -> string
 
+(** The length the Tier B executor for [kernel] assumes of each float
+    array it is handed, in handoff order: [k * n_nodes] for a node
+    array regrouping k fields, [n_inter] for a per-interaction array.
+    [None] when the kernel is unknown. *)
+val float_lengths :
+  kernel:string -> n_nodes:int -> n_inter:int -> int list option
+
 (** Tier B: the complete OCaml source of an executor specialized to one
     (kernel, schedule) pair — row bounds constant-folded, each row's
     runs of consecutive iterations emitted as literal range loops, loop

@@ -28,8 +28,9 @@
    The compiled executor is bitwise identical to [run_tiled]; [make]
    asserts this on two-step copies by default, the same way rtrt_par
    asserts parallel-vs-serial equivalence. Every downgrade (no
-   toolchain, compile failure, source-budget overflow) is graceful and
-   counted in [specialize.fallbacks]. *)
+   toolchain, compile failure, source-budget overflow, a handed-off
+   array of the wrong length) is graceful and counted in
+   [specialize.fallbacks]. *)
 
 type tier = Interp | Shaped | Codegen
 
@@ -118,8 +119,9 @@ let cache_dir () =
   | None -> Filename.concat (Filename.get_temp_dir_name ()) "rtrt-spec"
 
 (* Bumped whenever the emitted code changes meaning, so stale cached
-   .cmxs never survive an emitter upgrade. *)
-let emitter_version = 1
+   .cmxs never survive an emitter upgrade (2: moldyn/nbf/irreg node
+   arrays regrouped into one float array). *)
+let emitter_version = 2
 
 let schedule_key ~kernel ~n_nodes ~n_inter (sched : Reorder.Schedule.t) =
   let b = Rtrt_plancache.Fingerprint.create () in
@@ -218,8 +220,17 @@ let compile_and_load ~kernel ~key source : (exec * float * bool) option =
    before ever running compiled code we prove every index in bounds —
    [check_fits] covers the iteration ids ([of_tile_fns] builds each
    loop's items as a permutation, so total = size implies id < size),
-   and a one-time endpoint scan covers the kernel's own index
-   arrays. *)
+   a one-time endpoint scan covers the kernel's own index arrays, and
+   every handed-off array must have the length the emitter assumes
+   ([Codegen.float_lengths]; index arrays one entry per
+   interaction). *)
+
+let float_lengths_match ~kernel ~n_nodes ~n_inter (fa : float array array) =
+  match Codegen.float_lengths ~kernel ~n_nodes ~n_inter with
+  | None -> false
+  | Some lens ->
+    List.length lens = Array.length fa
+    && List.for_all2 (fun len a -> Array.length a = len) lens (Array.to_list fa)
 
 let endpoints_in_range ~n (arrs : int array array) =
   let ok = ref true in
@@ -307,10 +318,14 @@ let make ?tier_b ?(verify = true) (kernel : Kernels.Kernel.t)
     (sched : Reorder.Schedule.t) =
   let name = kernel.Kernels.Kernel.name in
   let source key =
-    let ia, _ = kernel.Kernels.Kernel.exec_arrays () in
+    let ia, fa = kernel.Kernels.Kernel.exec_arrays () in
+    let n_inter = kernel.Kernels.Kernel.n_inter in
     if
-      Reorder.Schedule.check_fits sched
-        ~loop_sizes:kernel.Kernels.Kernel.loop_sizes
+      Array.for_all (fun a -> Array.length a = n_inter) ia
+      && float_lengths_match ~kernel:name
+           ~n_nodes:kernel.Kernels.Kernel.n_nodes ~n_inter fa
+      && Reorder.Schedule.check_fits sched
+           ~loop_sizes:kernel.Kernels.Kernel.loop_sizes
       && endpoints_in_range ~n:kernel.Kernels.Kernel.n_nodes ia
     then Codegen.specialized_source ~kernel:name ~key sched
     else None
@@ -356,8 +371,12 @@ let make_gs ?tier_b ?(verify = true) (t : Kernels.Gauss_seidel.t)
     done
   in
   let source key =
-    if Reorder.Schedule.check_fits sched ~loop_sizes:[| n |] then
-      Codegen.specialized_source ~kernel:"gs" ~key sched
+    if
+      float_lengths_match ~kernel:"gs" ~n_nodes:n
+        ~n_inter:(Irgraph.Csr.num_arcs t.Kernels.Gauss_seidel.graph)
+        [| t.Kernels.Gauss_seidel.u; t.Kernels.Gauss_seidel.f |]
+      && Reorder.Schedule.check_fits sched ~loop_sizes:[| n |]
+    then Codegen.specialized_source ~kernel:"gs" ~key sched
     else None
   in
   let run_on st exec =

@@ -15,7 +15,8 @@
       version, word size, and OS, plus an in-process memo.
 
     Every failure to reach Tier B — no toolchain, compile error,
-    emitter budget overflow — degrades gracefully to [Interp] and
+    emitter budget overflow, a handed-off array whose length is not
+    the one the emitter assumes — degrades gracefully to [Interp] and
     bumps [specialize.fallbacks]. By default a compiled executor is
     verified bitwise against the interpreted walk on two-step state
     copies before it is returned. Gauges: [specialize.tier] (0 interp,

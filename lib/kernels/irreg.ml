@@ -1,7 +1,11 @@
 (* The irreg benchmark (irregular CFD-style edge/node kernel from the
-   Han-Tseng suite): only 2 node arrays (16 bytes per node) and a
+   Han-Tseng suite): only 2 node fields (16 bytes per node) and a
    per-edge weight array, so spatial reordering has the most room to
    help (many nodes per cache line).
+
+   The node fields are regrouped as [Kernel.layout] models them: node
+   i's pair x y sits at [nodes.(2i)], [nodes.(2i + 1)]; the weights
+   stay a separate per-edge array.
 
    Loop chain per time step:
      loop 0 (j): edge flux    y[l] += w*(x[l]-x[r]); y[r] += w*(x[r]-x[l])
@@ -13,8 +17,7 @@ type state = {
   left : int array;
   right : int array;
   w : float array; (* per-edge weights: follow iteration reorderings *)
-  x : float array;
-  y : float array;
+  nodes : float array; (* 2 * n, regrouped *)
   (* Endpoint-scan memo: one successful scan validates every later
      executor run on this state (index arrays are replaced, never
      mutated in place, by transformations). *)
@@ -25,15 +28,18 @@ let relax = 0.001
 
 let node_array_names = [ "x"; "y" ]
 let inter_array_names = [ "left"; "right"; "w" ]
+let fields = 2
 
 let flux_j st j =
-  let l = st.left.(j) and r = st.right.(j) in
-  let d = st.w.(j) *. (st.x.(l) -. st.x.(r)) in
-  st.y.(l) <- st.y.(l) +. d;
-  st.y.(r) <- st.y.(r) -. d
+  let nd = st.nodes in
+  let l = 2 * st.left.(j) and r = 2 * st.right.(j) in
+  let d = st.w.(j) *. (nd.(l) -. nd.(r)) in
+  nd.(l + 1) <- nd.(l + 1) +. d;
+  nd.(r + 1) <- nd.(r + 1) -. d
 
 let update_k st k =
-  st.x.(k) <- st.x.(k) +. (relax *. st.y.(k))
+  let nd = st.nodes and b = 2 * k in
+  nd.(b) <- nd.(b) +. (relax *. nd.(b + 1))
 
 let run_plain st ~steps =
   for _s = 1 to steps do
@@ -62,19 +68,20 @@ let check_endpoints_cached st ~who =
   end
 
 (* Unsafe twins of the loop bodies, sound only after [check_fits] and
-   the endpoint scan have validated every index source. *)
-let flux_j_u st j =
-  let l = Array.unsafe_get st.left j and r = Array.unsafe_get st.right j in
+   the endpoint scan have validated every index source (node ids in
+   [0, n), so [2 * id + f] in [0, 2n)). *)
+let[@inline] flux_j_u nd w left right j =
+  let l = 2 * Array.unsafe_get left j and r = 2 * Array.unsafe_get right j in
   let d =
-    Array.unsafe_get st.w j
-    *. (Array.unsafe_get st.x l -. Array.unsafe_get st.x r)
+    Array.unsafe_get w j *. (Array.unsafe_get nd l -. Array.unsafe_get nd r)
   in
-  Array.unsafe_set st.y l (Array.unsafe_get st.y l +. d);
-  Array.unsafe_set st.y r (Array.unsafe_get st.y r -. d)
+  Array.unsafe_set nd (l + 1) (Array.unsafe_get nd (l + 1) +. d);
+  Array.unsafe_set nd (r + 1) (Array.unsafe_get nd (r + 1) -. d)
 
-let update_k_u st k =
-  Array.unsafe_set st.x k
-    (Array.unsafe_get st.x k +. (relax *. Array.unsafe_get st.y k))
+let[@inline] update_k_u nd k =
+  let b = 2 * k in
+  Array.unsafe_set nd b
+    (Array.unsafe_get nd b +. (relax *. Array.unsafe_get nd (b + 1)))
 
 (* Chain position c executes loop (c mod 2): a 2-loop schedule is one
    time step, a 2S-loop schedule is S time steps (time-step tiling).
@@ -84,6 +91,7 @@ let run_tiled_st st (sched : Reorder.Schedule.t) ~steps =
   if not (Reorder.Schedule.check_fits sched ~loop_sizes:[| st.m; st.n |]) then
     invalid_arg "Irreg.run_tiled: schedule does not fit the kernel";
   check_endpoints_cached st ~who:"Irreg.run_tiled";
+  let nd = st.nodes and w = st.w and left = st.left and right = st.right in
   let n_tiles = Reorder.Schedule.n_tiles sched in
   let n_chain = Reorder.Schedule.n_loops sched in
   let rp = Reorder.Schedule.row_ptr sched in
@@ -95,11 +103,11 @@ let run_tiled_st st (sched : Reorder.Schedule.t) ~steps =
         let lo = Array.unsafe_get rp r and hi = Array.unsafe_get rp (r + 1) in
         if c mod 2 = 0 then
           for idx = lo to hi - 1 do
-            flux_j_u st (Array.unsafe_get fl idx)
+            flux_j_u nd w left right (Array.unsafe_get fl idx)
           done
         else
           for idx = lo to hi - 1 do
-            update_k_u st (Array.unsafe_get fl idx)
+            update_k_u nd (Array.unsafe_get fl idx)
           done
       done
     done
@@ -113,38 +121,38 @@ let plan_par_st st ~pool sched ~level_of =
   if not (Reorder.Schedule.check_fits sched ~loop_sizes:[| st.m; st.n |]) then
     invalid_arg "Irreg.plan_par: schedule does not fit the kernel";
   check_endpoints_cached st ~who:"Irreg.plan_par";
+  let nd = st.nodes and w = st.w and left = st.left and right = st.right in
   let dj = Array.make st.m 0.0 in
   let exec =
     Rtrt_par.Exec.make ~pool ~sched ~level_of
       ~is_reduction:(fun c -> c mod 2 = 0)
-      ~left:st.left ~right:st.right ~n_data:st.n
+      ~left ~right ~n_data:st.n
   in
   let body ~pos items lo hi =
     if pos mod 2 = 0 then
       for idx = lo to hi - 1 do
-        flux_j_u st (Array.unsafe_get items idx)
+        flux_j_u nd w left right (Array.unsafe_get items idx)
       done
     else
       for idx = lo to hi - 1 do
-        update_k_u st (Array.unsafe_get items idx)
+        update_k_u nd (Array.unsafe_get items idx)
       done
   in
   let stash ~pos:_ items lo hi =
     for idx = lo to hi - 1 do
       let j = Array.unsafe_get items idx in
-      let l = Array.unsafe_get st.left j and r = Array.unsafe_get st.right j in
+      let l = 2 * Array.unsafe_get left j and r = 2 * Array.unsafe_get right j in
       Array.unsafe_set dj j
-        (Array.unsafe_get st.w j
-        *. (Array.unsafe_get st.x l -. Array.unsafe_get st.x r))
+        (Array.unsafe_get w j *. (Array.unsafe_get nd l -. Array.unsafe_get nd r))
     done
   in
   let apply ~pos:_ ~datum refs lo hi =
-    let y = st.y in
+    let y = (2 * datum) + 1 in
     for k = lo to hi - 1 do
       let rv = refs.(k) in
       let j = rv lsr 1 in
-      if rv land 1 = 0 then y.(datum) <- y.(datum) +. dj.(j)
-      else y.(datum) <- y.(datum) -. dj.(j)
+      if rv land 1 = 0 then nd.(y) <- nd.(y) +. dj.(j)
+      else nd.(y) <- nd.(y) -. dj.(j)
     done
   in
   {
@@ -227,8 +235,7 @@ let rec make ~access st =
         left;
         right;
         w = Kernel.scatter delta st.w;
-        x = Kernel.scatter sigma st.x;
-        y = Kernel.scatter sigma st.y;
+        nodes = Kernel.scatter_group ~fields sigma st.nodes;
       }
   in
   {
@@ -247,7 +254,7 @@ let rec make ~access st =
     run = (fun ~steps -> run_plain st ~steps);
     run_tiled = (fun sched ~steps -> run_tiled_st st sched ~steps);
     exec_arrays =
-      (fun () -> ([| st.left; st.right |], [| st.w; st.x; st.y |]));
+      (fun () -> ([| st.left; st.right |], [| st.w; st.nodes |]));
     run_traced =
       (fun ~steps ~layout ~access -> run_traced_st st ~steps ~layout ~access);
     run_tiled_traced =
@@ -256,7 +263,7 @@ let rec make ~access st =
     plan_par =
       (fun ~pool sched ~level_of -> plan_par_st st ~pool sched ~level_of);
     snapshot =
-      (fun () -> [ ("x", Array.copy st.x); ("y", Array.copy st.y) ]);
+      (fun () -> Kernel.ungroup ~names:node_array_names st.nodes);
     copy = (fun () -> relabel ());
   }
 
@@ -268,6 +275,11 @@ let of_dataset (d : Datagen.Dataset.t) =
   let n = d.Datagen.Dataset.n_nodes in
   let m = Datagen.Dataset.n_interactions d in
   let left = d.Datagen.Dataset.left and right = d.Datagen.Dataset.right in
+  (* y starts at zero. *)
+  let nodes = Array.make (fields * n) 0.0 in
+  for i = 0 to n - 1 do
+    nodes.(fields * i) <- init_value ~salt:22 i
+  done;
   make ~access:(Reorder.Access.of_pairs ~n_data:n left right)
     {
       n;
@@ -275,7 +287,6 @@ let of_dataset (d : Datagen.Dataset.t) =
       left = Array.copy left;
       right = Array.copy right;
       w = Array.init m (init_value ~salt:21);
-      x = Array.init n (init_value ~salt:22);
-      y = Array.make n 0.0;
+      nodes;
       endpoints_ok = false;
     }

@@ -12,6 +12,14 @@
    [apply_data_perm] / [apply_iter_perm] are one-reordering helpers
    over it (the per-transformation Remap_each baseline).
 
+   Host storage is the layout the cache model simulates ([layout]):
+   moldyn, nbf and irreg keep their k node arrays regrouped (Ding &
+   Kennedy inter-array regrouping) in one interleaved float array of
+   length k*n, node i's field f at [k*i + f] with f in
+   [node_array_names] order; per-interaction arrays stay separate.
+   [scatter_group] and [ungroup] are the shared relabel and snapshot
+   halves of that layout. cg keeps one array per field.
+
    Executors come in four flavors: plain (Figure 13-style: the code is
    unchanged, only the arrays moved) and sparse-tiled (Figure 14-style:
    tiles outermost), each with a traced twin that reports every memory
@@ -41,8 +49,8 @@ type t = {
   name : string;
   n_nodes : int;
   n_inter : int;
-  (* Node arrays in layout order (grouped for inter-array regrouping);
-     lengths all n_nodes. *)
+  (* Node field names in layout order (the regrouped record's field
+     order; one array of length n_nodes each in snapshots). *)
   node_array_names : string list;
   (* Per-interaction arrays (index arrays and e.g. edge weights). *)
   inter_array_names : string list;
@@ -133,6 +141,40 @@ let scatter p a =
   match p with
   | None -> Array.copy a
   | Some p -> Reorder.Perm.apply_to_float_array p a
+
+(* A fresh copy of a regrouped node array ([fields] doubles per node)
+   with node i's record moved to [fields * sigma(i)]. One inline copy
+   loop: a per-node [Array.blit] pays a C call per record. *)
+let scatter_group ~fields p a =
+  match p with
+  | None -> Array.copy a
+  | Some p ->
+    let n = Reorder.Perm.size p in
+    if Array.length a <> fields * n then
+      invalid_arg "Kernel.scatter_group: size mismatch";
+    let out = Array.create_float (fields * n) in
+    for i = 0 to n - 1 do
+      let src = fields * i and dst = fields * Reorder.Perm.forward p i in
+      for f = 0 to fields - 1 do
+        Array.unsafe_set out (dst + f) (Array.unsafe_get a (src + f))
+      done
+    done;
+    out
+
+(* The regrouped node array de-interleaved into one fresh array per
+   field name (the snapshot view), with plain loops in one sequential
+   pass over the records. *)
+let ungroup ~names a =
+  let fields = List.length names in
+  let n = Array.length a / fields in
+  let outs = Array.init fields (fun _ -> Array.create_float n) in
+  for i = 0 to n - 1 do
+    let b = fields * i in
+    for f = 0 to fields - 1 do
+      Array.unsafe_set (Array.unsafe_get outs f) i (Array.unsafe_get a (b + f))
+    done
+  done;
+  List.mapi (fun f name -> (name, outs.(f))) names
 
 (* Endpoint scans (each kernel's index-array range validation) are
    memoized per kernel state; replays of a cache-hit schedule on the

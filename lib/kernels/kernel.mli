@@ -5,7 +5,11 @@
     ([sigma]) and an iteration reordering T of the interaction loop
     ([delta]) in one pass that writes every array once.
     {!apply_data_perm} and {!apply_iter_perm} are one-reordering
-    helpers over it. Executors come in plain (Figure 13) and
+    helpers over it. moldyn, nbf and irreg store their k node arrays
+    regrouped in one float array of length k*n (node i's field f at
+    [k*i + f], f in [node_array_names] order) — the layout {!layout}
+    gives the cache model; cg keeps one array per field. Executors
+    come in plain (Figure 13) and
     sparse-tiled (Figure 14) forms, each with a traced twin feeding
     the cache model. *)
 
@@ -64,7 +68,9 @@ type t = {
   exec_arrays : unit -> int array array * float array array;
       (** The kernel's index arrays and float arrays (not copies) in
           the Tier B emitter's documented order; see
-          [Compose.Specialize]. *)
+          [Compose.Specialize]. For the regrouped kernels the float
+          arrays are the per-interaction ones, then the one regrouped
+          node array last. *)
   run_traced :
     steps:int -> layout:Cachesim.Layout.t -> access:(int -> unit) -> unit;
   run_tiled_traced :
@@ -107,6 +113,18 @@ val relabel_pairs :
 (** A fresh copy of a float array moved through an optional
     permutation ([out.(forward p i) = a.(i)]). *)
 val scatter : Reorder.Perm.t option -> float array -> float array
+
+(** [scatter_group ~fields sigma a]: a fresh copy of the regrouped
+    node array [a] (length [fields * n]) with node i's [fields]-double
+    record moved to [fields * forward sigma i]. Raises
+    [Invalid_argument] on a size mismatch. *)
+val scatter_group :
+  fields:int -> Reorder.Perm.t option -> float array -> float array
+
+(** [ungroup ~names a]: the regrouped node array [a] as one fresh
+    array per field, [(name_f, [| a.(k*i + f) |])] in [names] order
+    (k = [List.length names]). *)
+val ungroup : names:string list -> float array -> (string * float array) list
 
 val endpoint_scan_skipped : unit -> unit
 (** Bump the [plancache.endpoint_scan_skips] counter: a kernel skipped

@@ -1,7 +1,11 @@
 (* The moldyn benchmark (non-bonded force molecular dynamics, Figure 1
-   of the paper generalized to 3-D): 9 node arrays of doubles — 72
+   of the paper generalized to 3-D): 9 node fields of doubles — 72
    bytes per molecule, the figure the paper quotes when explaining why
    data reordering alone saturates on a 64-byte-line machine.
+
+   The fields are regrouped as the paper's executors store them (and
+   as [Kernel.layout] models them): molecule i's record
+   x y z vx vy vz fx fy fz sits at [nodes.(9i) .. nodes.(9i + 8)].
 
    Loop chain per time step:
      S1 (i loop): position update     x += vx + fx        (writes x)
@@ -13,15 +17,7 @@ type state = {
   m : int;
   left : int array;
   right : int array;
-  x : float array;
-  y : float array;
-  z : float array;
-  vx : float array;
-  vy : float array;
-  vz : float array;
-  fx : float array;
-  fy : float array;
-  fz : float array;
+  nodes : float array; (* 9 * n, regrouped *)
   (* Endpoint-scan memo: left/right are never mutated in place within
      one state (transformations build new states), so one successful
      scan validates every later executor run on this state. *)
@@ -32,37 +28,38 @@ let dt = 0.0001
 
 let node_array_names = [ "x"; "y"; "z"; "vx"; "vy"; "vz"; "fx"; "fy"; "fz" ]
 let inter_array_names = [ "left"; "right" ]
+let fields = 9
 
 let run_plain st ~steps =
   let n = st.n and m = st.m in
-  let x = st.x and y = st.y and z = st.z in
-  let vx = st.vx and vy = st.vy and vz = st.vz in
-  let fx = st.fx and fy = st.fy and fz = st.fz in
+  let nd = st.nodes in
   let left = st.left and right = st.right in
   for _s = 1 to steps do
     for i = 0 to n - 1 do
-      x.(i) <- x.(i) +. (dt *. (vx.(i) +. fx.(i)));
-      y.(i) <- y.(i) +. (dt *. (vy.(i) +. fy.(i)));
-      z.(i) <- z.(i) +. (dt *. (vz.(i) +. fz.(i)))
+      let b = 9 * i in
+      nd.(b) <- nd.(b) +. (dt *. (nd.(b + 3) +. nd.(b + 6)));
+      nd.(b + 1) <- nd.(b + 1) +. (dt *. (nd.(b + 4) +. nd.(b + 7)));
+      nd.(b + 2) <- nd.(b + 2) +. (dt *. (nd.(b + 5) +. nd.(b + 8)))
     done;
     for j = 0 to m - 1 do
-      let l = left.(j) and r = right.(j) in
-      let dx = x.(l) -. x.(r) in
-      let dy = y.(l) -. y.(r) in
-      let dz = z.(l) -. z.(r) in
+      let l = 9 * left.(j) and r = 9 * right.(j) in
+      let dx = nd.(l) -. nd.(r) in
+      let dy = nd.(l + 1) -. nd.(r + 1) in
+      let dz = nd.(l + 2) -. nd.(r + 2) in
       let r2 = (dx *. dx) +. (dy *. dy) +. (dz *. dz) +. 1.0 in
       let g = 1.0 /. r2 in
-      fx.(l) <- fx.(l) +. (g *. dx);
-      fx.(r) <- fx.(r) -. (g *. dx);
-      fy.(l) <- fy.(l) +. (g *. dy);
-      fy.(r) <- fy.(r) -. (g *. dy);
-      fz.(l) <- fz.(l) +. (g *. dz);
-      fz.(r) <- fz.(r) -. (g *. dz)
+      nd.(l + 6) <- nd.(l + 6) +. (g *. dx);
+      nd.(r + 6) <- nd.(r + 6) -. (g *. dx);
+      nd.(l + 7) <- nd.(l + 7) +. (g *. dy);
+      nd.(r + 7) <- nd.(r + 7) -. (g *. dy);
+      nd.(l + 8) <- nd.(l + 8) +. (g *. dz);
+      nd.(r + 8) <- nd.(r + 8) -. (g *. dz)
     done;
     for k = 0 to n - 1 do
-      vx.(k) <- vx.(k) +. (dt *. fx.(k));
-      vy.(k) <- vy.(k) +. (dt *. fy.(k));
-      vz.(k) <- vz.(k) +. (dt *. fz.(k))
+      let b = 9 * k in
+      nd.(b + 3) <- nd.(b + 3) +. (dt *. nd.(b + 6));
+      nd.(b + 4) <- nd.(b + 4) +. (dt *. nd.(b + 7));
+      nd.(b + 5) <- nd.(b + 5) +. (dt *. nd.(b + 8))
     done
   done
 
@@ -74,8 +71,9 @@ let run_plain st ~steps =
 
    Validated-once-then-unsafe: [Schedule.check_fits] plus the
    endpoint-range scan below guarantee every index the loop bodies
-   compute is in bounds, so the steady state streams the flat schedule
-   and the data arrays with [Array.unsafe_get]/[unsafe_set]. *)
+   compute is in bounds (node ids in [0, n), so [9 * id + f] in
+   [0, 9n)), so the steady state streams the flat schedule and the
+   data arrays with [Array.unsafe_get]/[unsafe_set]. *)
 
 let check_endpoints ~who ~n ~m left right =
   if Array.length left <> m || Array.length right <> m then
@@ -93,13 +91,48 @@ let check_endpoints_cached st ~who =
     st.endpoints_ok <- true
   end
 
+(* Unsafe loop bodies, shared by the serial and parallel tiled
+   executors; sound only after [check_fits] and the endpoint scan. *)
+let[@inline] update_i nd i =
+  let b = 9 * i in
+  Array.unsafe_set nd b
+    (Array.unsafe_get nd b
+    +. (dt *. (Array.unsafe_get nd (b + 3) +. Array.unsafe_get nd (b + 6))));
+  Array.unsafe_set nd (b + 1)
+    (Array.unsafe_get nd (b + 1)
+    +. (dt *. (Array.unsafe_get nd (b + 4) +. Array.unsafe_get nd (b + 7))));
+  Array.unsafe_set nd (b + 2)
+    (Array.unsafe_get nd (b + 2)
+    +. (dt *. (Array.unsafe_get nd (b + 5) +. Array.unsafe_get nd (b + 8))))
+
+let[@inline] force_j nd left right j =
+  let l = 9 * Array.unsafe_get left j and r = 9 * Array.unsafe_get right j in
+  let dx = Array.unsafe_get nd l -. Array.unsafe_get nd r in
+  let dy = Array.unsafe_get nd (l + 1) -. Array.unsafe_get nd (r + 1) in
+  let dz = Array.unsafe_get nd (l + 2) -. Array.unsafe_get nd (r + 2) in
+  let r2 = (dx *. dx) +. (dy *. dy) +. (dz *. dz) +. 1.0 in
+  let g = 1.0 /. r2 in
+  Array.unsafe_set nd (l + 6) (Array.unsafe_get nd (l + 6) +. (g *. dx));
+  Array.unsafe_set nd (r + 6) (Array.unsafe_get nd (r + 6) -. (g *. dx));
+  Array.unsafe_set nd (l + 7) (Array.unsafe_get nd (l + 7) +. (g *. dy));
+  Array.unsafe_set nd (r + 7) (Array.unsafe_get nd (r + 7) -. (g *. dy));
+  Array.unsafe_set nd (l + 8) (Array.unsafe_get nd (l + 8) +. (g *. dz));
+  Array.unsafe_set nd (r + 8) (Array.unsafe_get nd (r + 8) -. (g *. dz))
+
+let[@inline] update_k nd k =
+  let b = 9 * k in
+  Array.unsafe_set nd (b + 3)
+    (Array.unsafe_get nd (b + 3) +. (dt *. Array.unsafe_get nd (b + 6)));
+  Array.unsafe_set nd (b + 4)
+    (Array.unsafe_get nd (b + 4) +. (dt *. Array.unsafe_get nd (b + 7)));
+  Array.unsafe_set nd (b + 5)
+    (Array.unsafe_get nd (b + 5) +. (dt *. Array.unsafe_get nd (b + 8)))
+
 let run_tiled_st st (sched : Reorder.Schedule.t) ~steps =
   if not (Reorder.Schedule.check_fits sched ~loop_sizes:[| st.n; st.m; st.n |])
   then invalid_arg "Moldyn.run_tiled: schedule does not fit the kernel";
   check_endpoints_cached st ~who:"Moldyn.run_tiled";
-  let x = st.x and y = st.y and z = st.z in
-  let vx = st.vx and vy = st.vy and vz = st.vz in
-  let fx = st.fx and fy = st.fy and fz = st.fz in
+  let nd = st.nodes in
   let left = st.left and right = st.right in
   let n_tiles = Reorder.Schedule.n_tiles sched in
   let n_chain = Reorder.Schedule.n_loops sched in
@@ -113,42 +146,15 @@ let run_tiled_st st (sched : Reorder.Schedule.t) ~steps =
         match c mod 3 with
         | 0 ->
           for idx = lo to hi - 1 do
-            let i = Array.unsafe_get fl idx in
-            Array.unsafe_set x i
-              (Array.unsafe_get x i
-              +. (dt *. (Array.unsafe_get vx i +. Array.unsafe_get fx i)));
-            Array.unsafe_set y i
-              (Array.unsafe_get y i
-              +. (dt *. (Array.unsafe_get vy i +. Array.unsafe_get fy i)));
-            Array.unsafe_set z i
-              (Array.unsafe_get z i
-              +. (dt *. (Array.unsafe_get vz i +. Array.unsafe_get fz i)))
+            update_i nd (Array.unsafe_get fl idx)
           done
         | 1 ->
           for idx = lo to hi - 1 do
-            let j = Array.unsafe_get fl idx in
-            let l = Array.unsafe_get left j and r = Array.unsafe_get right j in
-            let dx = Array.unsafe_get x l -. Array.unsafe_get x r in
-            let dy = Array.unsafe_get y l -. Array.unsafe_get y r in
-            let dz = Array.unsafe_get z l -. Array.unsafe_get z r in
-            let r2 = (dx *. dx) +. (dy *. dy) +. (dz *. dz) +. 1.0 in
-            let g = 1.0 /. r2 in
-            Array.unsafe_set fx l (Array.unsafe_get fx l +. (g *. dx));
-            Array.unsafe_set fx r (Array.unsafe_get fx r -. (g *. dx));
-            Array.unsafe_set fy l (Array.unsafe_get fy l +. (g *. dy));
-            Array.unsafe_set fy r (Array.unsafe_get fy r -. (g *. dy));
-            Array.unsafe_set fz l (Array.unsafe_get fz l +. (g *. dz));
-            Array.unsafe_set fz r (Array.unsafe_get fz r -. (g *. dz))
+            force_j nd left right (Array.unsafe_get fl idx)
           done
         | _ ->
           for idx = lo to hi - 1 do
-            let k = Array.unsafe_get fl idx in
-            Array.unsafe_set vx k
-              (Array.unsafe_get vx k +. (dt *. Array.unsafe_get fx k));
-            Array.unsafe_set vy k
-              (Array.unsafe_get vy k +. (dt *. Array.unsafe_get fy k));
-            Array.unsafe_set vz k
-              (Array.unsafe_get vz k +. (dt *. Array.unsafe_get fz k))
+            update_k nd (Array.unsafe_get fl idx)
           done
       done
     done
@@ -164,9 +170,7 @@ let plan_par_st st ~pool sched ~level_of =
   if not (Reorder.Schedule.check_fits sched ~loop_sizes:[| st.n; st.m; st.n |])
   then invalid_arg "Moldyn.plan_par: schedule does not fit the kernel";
   check_endpoints_cached st ~who:"Moldyn.plan_par";
-  let x = st.x and y = st.y and z = st.z in
-  let vx = st.vx and vy = st.vy and vz = st.vz in
-  let fx = st.fx and fy = st.fy and fz = st.fz in
+  let nd = st.nodes in
   let left = st.left and right = st.right in
   let gx = Array.make st.m 0.0 in
   let gy = Array.make st.m 0.0 in
@@ -180,51 +184,24 @@ let plan_par_st st ~pool sched ~level_of =
     match pos mod 3 with
     | 0 ->
       for idx = lo to hi - 1 do
-        let i = Array.unsafe_get items idx in
-        Array.unsafe_set x i
-          (Array.unsafe_get x i
-          +. (dt *. (Array.unsafe_get vx i +. Array.unsafe_get fx i)));
-        Array.unsafe_set y i
-          (Array.unsafe_get y i
-          +. (dt *. (Array.unsafe_get vy i +. Array.unsafe_get fy i)));
-        Array.unsafe_set z i
-          (Array.unsafe_get z i
-          +. (dt *. (Array.unsafe_get vz i +. Array.unsafe_get fz i)))
+        update_i nd (Array.unsafe_get items idx)
       done
     | 1 ->
       for idx = lo to hi - 1 do
-        let j = Array.unsafe_get items idx in
-        let l = Array.unsafe_get left j and r = Array.unsafe_get right j in
-        let dx = Array.unsafe_get x l -. Array.unsafe_get x r in
-        let dy = Array.unsafe_get y l -. Array.unsafe_get y r in
-        let dz = Array.unsafe_get z l -. Array.unsafe_get z r in
-        let r2 = (dx *. dx) +. (dy *. dy) +. (dz *. dz) +. 1.0 in
-        let g = 1.0 /. r2 in
-        Array.unsafe_set fx l (Array.unsafe_get fx l +. (g *. dx));
-        Array.unsafe_set fx r (Array.unsafe_get fx r -. (g *. dx));
-        Array.unsafe_set fy l (Array.unsafe_get fy l +. (g *. dy));
-        Array.unsafe_set fy r (Array.unsafe_get fy r -. (g *. dy));
-        Array.unsafe_set fz l (Array.unsafe_get fz l +. (g *. dz));
-        Array.unsafe_set fz r (Array.unsafe_get fz r -. (g *. dz))
+        force_j nd left right (Array.unsafe_get items idx)
       done
     | _ ->
       for idx = lo to hi - 1 do
-        let k = Array.unsafe_get items idx in
-        Array.unsafe_set vx k
-          (Array.unsafe_get vx k +. (dt *. Array.unsafe_get fx k));
-        Array.unsafe_set vy k
-          (Array.unsafe_get vy k +. (dt *. Array.unsafe_get fy k));
-        Array.unsafe_set vz k
-          (Array.unsafe_get vz k +. (dt *. Array.unsafe_get fz k))
+        update_k nd (Array.unsafe_get items idx)
       done
   in
   let stash ~pos:_ items lo hi =
     for idx = lo to hi - 1 do
       let j = Array.unsafe_get items idx in
-      let l = Array.unsafe_get left j and r = Array.unsafe_get right j in
-      let dx = Array.unsafe_get x l -. Array.unsafe_get x r in
-      let dy = Array.unsafe_get y l -. Array.unsafe_get y r in
-      let dz = Array.unsafe_get z l -. Array.unsafe_get z r in
+      let l = 9 * Array.unsafe_get left j and r = 9 * Array.unsafe_get right j in
+      let dx = Array.unsafe_get nd l -. Array.unsafe_get nd r in
+      let dy = Array.unsafe_get nd (l + 1) -. Array.unsafe_get nd (r + 1) in
+      let dz = Array.unsafe_get nd (l + 2) -. Array.unsafe_get nd (r + 2) in
       let r2 = (dx *. dx) +. (dy *. dy) +. (dz *. dz) +. 1.0 in
       let g = 1.0 /. r2 in
       Array.unsafe_set gx j (g *. dx);
@@ -233,18 +210,19 @@ let plan_par_st st ~pool sched ~level_of =
     done
   in
   let apply ~pos:_ ~datum refs lo hi =
+    let f = (9 * datum) + 6 in
     for k = lo to hi - 1 do
       let rv = refs.(k) in
       let j = rv lsr 1 in
       if rv land 1 = 0 then begin
-        fx.(datum) <- fx.(datum) +. gx.(j);
-        fy.(datum) <- fy.(datum) +. gy.(j);
-        fz.(datum) <- fz.(datum) +. gz.(j)
+        nd.(f) <- nd.(f) +. gx.(j);
+        nd.(f + 1) <- nd.(f + 1) +. gy.(j);
+        nd.(f + 2) <- nd.(f + 2) +. gz.(j)
       end
       else begin
-        fx.(datum) <- fx.(datum) -. gx.(j);
-        fy.(datum) <- fy.(datum) -. gy.(j);
-        fz.(datum) <- fz.(datum) -. gz.(j)
+        nd.(f) <- nd.(f) -. gx.(j);
+        nd.(f + 1) <- nd.(f + 1) -. gy.(j);
+        nd.(f + 2) <- nd.(f + 2) -. gz.(j)
       end
     done
   in
@@ -339,22 +317,13 @@ let rec make ~access st =
     let left, right, access =
       Kernel.relabel_pairs ~n_data:st.n ?sigma ?delta st.left st.right
     in
-    let node = Kernel.scatter sigma in
     make ~access
       {
         st with
         endpoints_ok = false;
         left;
         right;
-        x = node st.x;
-        y = node st.y;
-        z = node st.z;
-        vx = node st.vx;
-        vy = node st.vy;
-        vz = node st.vz;
-        fx = node st.fx;
-        fy = node st.fy;
-        fz = node st.fz;
+        nodes = Kernel.scatter_group ~fields sigma st.nodes;
       }
   in
   {
@@ -372,10 +341,7 @@ let rec make ~access st =
     relabel;
     run = (fun ~steps -> run_plain st ~steps);
     run_tiled = (fun sched ~steps -> run_tiled_st st sched ~steps);
-    exec_arrays =
-      (fun () ->
-        ( [| st.left; st.right |],
-          [| st.x; st.y; st.z; st.vx; st.vy; st.vz; st.fx; st.fy; st.fz |] ));
+    exec_arrays = (fun () -> ([| st.left; st.right |], [| st.nodes |]));
     run_traced =
       (fun ~steps ~layout ~access -> run_traced_st st ~steps ~layout ~access);
     run_tiled_traced =
@@ -384,18 +350,7 @@ let rec make ~access st =
     plan_par =
       (fun ~pool sched ~level_of -> plan_par_st st ~pool sched ~level_of);
     snapshot =
-      (fun () ->
-        [
-          ("x", Array.copy st.x);
-          ("y", Array.copy st.y);
-          ("z", Array.copy st.z);
-          ("vx", Array.copy st.vx);
-          ("vy", Array.copy st.vy);
-          ("vz", Array.copy st.vz);
-          ("fx", Array.copy st.fx);
-          ("fy", Array.copy st.fy);
-          ("fz", Array.copy st.fz);
-        ]);
+      (fun () -> Kernel.ungroup ~names:node_array_names st.nodes);
     copy = (fun () -> relabel ());
   }
 
@@ -409,20 +364,23 @@ let of_dataset (d : Datagen.Dataset.t) =
   let n = d.Datagen.Dataset.n_nodes in
   let m = Datagen.Dataset.n_interactions d in
   let left = d.Datagen.Dataset.left and right = d.Datagen.Dataset.right in
+  (* Forces start at zero. *)
+  let nodes = Array.make (fields * n) 0.0 in
+  for i = 0 to n - 1 do
+    let b = fields * i in
+    nodes.(b) <- init_value ~salt:1 i;
+    nodes.(b + 1) <- init_value ~salt:2 i;
+    nodes.(b + 2) <- init_value ~salt:3 i;
+    nodes.(b + 3) <- init_value ~salt:4 i;
+    nodes.(b + 4) <- init_value ~salt:5 i;
+    nodes.(b + 5) <- init_value ~salt:6 i
+  done;
   make ~access:(Reorder.Access.of_pairs ~n_data:n left right)
     {
       n;
       m;
       left = Array.copy left;
       right = Array.copy right;
-      x = Array.init n (init_value ~salt:1);
-      y = Array.init n (init_value ~salt:2);
-      z = Array.init n (init_value ~salt:3);
-      vx = Array.init n (init_value ~salt:4);
-      vy = Array.init n (init_value ~salt:5);
-      vz = Array.init n (init_value ~salt:6);
-      fx = Array.make n 0.0;
-      fy = Array.make n 0.0;
-      fz = Array.make n 0.0;
+      nodes;
       endpoints_ok = false;
     }

@@ -1,4 +1,6 @@
-(** The moldyn benchmark (9 node arrays, 72 B/molecule; i/j/k loop chain) as a {!Kernel.t}. *)
+(** The moldyn benchmark (9 node fields regrouped into one 72-B record
+    per molecule, [x y z vx vy vz fx fy fz]; i/j/k loop chain) as a
+    {!Kernel.t}. *)
 
 (** Build the kernel over a dataset's interaction list, with
     deterministic initial conditions derived from node ids. *)

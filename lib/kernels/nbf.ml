@@ -1,6 +1,9 @@
 (* The nbf benchmark (non-bonded force kernel, CHARMM-style, from the
-   Han-Tseng suite): 6 node arrays (48 bytes per node) and a heavier
+   Han-Tseng suite): 6 node fields (48 bytes per node) and a heavier
    Lennard-Jones-like force expression than moldyn's.
+
+   The fields are regrouped as [Kernel.layout] models them: node i's
+   record x y z fx fy fz sits at [nodes.(6i) .. nodes.(6i + 5)].
 
    Loop chain per time step:
      loop 0 (i): position integration  x += c * fx   (writes x, reads fx)
@@ -11,12 +14,7 @@ type state = {
   m : int;
   left : int array;
   right : int array;
-  x : float array;
-  y : float array;
-  z : float array;
-  fx : float array;
-  fy : float array;
-  fz : float array;
+  nodes : float array; (* 6 * n, regrouped *)
   (* Endpoint-scan memo: one successful scan validates every later
      executor run on this state (left/right are replaced, never
      mutated in place, by transformations). *)
@@ -27,28 +25,31 @@ let dt = 0.0001
 
 let node_array_names = [ "x"; "y"; "z"; "fx"; "fy"; "fz" ]
 let inter_array_names = [ "left"; "right" ]
+let fields = 6
 
 let force_j st j =
-  let l = st.left.(j) and r = st.right.(j) in
-  let dx = st.x.(l) -. st.x.(r) in
-  let dy = st.y.(l) -. st.y.(r) in
-  let dz = st.z.(l) -. st.z.(r) in
+  let nd = st.nodes in
+  let l = 6 * st.left.(j) and r = 6 * st.right.(j) in
+  let dx = nd.(l) -. nd.(r) in
+  let dy = nd.(l + 1) -. nd.(r + 1) in
+  let dz = nd.(l + 2) -. nd.(r + 2) in
   let r2 = (dx *. dx) +. (dy *. dy) +. (dz *. dz) +. 1.0 in
   let ir2 = 1.0 /. r2 in
   let ir6 = ir2 *. ir2 *. ir2 in
   (* Lennard-Jones 12-6 shape. *)
   let g = ((2.0 *. ir6 *. ir6) -. ir6) *. ir2 in
-  st.fx.(l) <- st.fx.(l) +. (g *. dx);
-  st.fx.(r) <- st.fx.(r) -. (g *. dx);
-  st.fy.(l) <- st.fy.(l) +. (g *. dy);
-  st.fy.(r) <- st.fy.(r) -. (g *. dy);
-  st.fz.(l) <- st.fz.(l) +. (g *. dz);
-  st.fz.(r) <- st.fz.(r) -. (g *. dz)
+  nd.(l + 3) <- nd.(l + 3) +. (g *. dx);
+  nd.(r + 3) <- nd.(r + 3) -. (g *. dx);
+  nd.(l + 4) <- nd.(l + 4) +. (g *. dy);
+  nd.(r + 4) <- nd.(r + 4) -. (g *. dy);
+  nd.(l + 5) <- nd.(l + 5) +. (g *. dz);
+  nd.(r + 5) <- nd.(r + 5) -. (g *. dz)
 
 let update_i st i =
-  st.x.(i) <- st.x.(i) +. (dt *. st.fx.(i));
-  st.y.(i) <- st.y.(i) +. (dt *. st.fy.(i));
-  st.z.(i) <- st.z.(i) +. (dt *. st.fz.(i))
+  let nd = st.nodes and b = 6 * i in
+  nd.(b) <- nd.(b) +. (dt *. nd.(b + 3));
+  nd.(b + 1) <- nd.(b + 1) +. (dt *. nd.(b + 4));
+  nd.(b + 2) <- nd.(b + 2) +. (dt *. nd.(b + 5))
 
 let run_plain st ~steps =
   for _s = 1 to steps do
@@ -75,30 +76,32 @@ let check_endpoints_cached st ~who =
   end
 
 (* Unsafe twins of the loop bodies, sound only after [check_fits] and
-   the endpoint scan have validated every index source. *)
-let update_i_u st i =
-  Array.unsafe_set st.x i
-    (Array.unsafe_get st.x i +. (dt *. Array.unsafe_get st.fx i));
-  Array.unsafe_set st.y i
-    (Array.unsafe_get st.y i +. (dt *. Array.unsafe_get st.fy i));
-  Array.unsafe_set st.z i
-    (Array.unsafe_get st.z i +. (dt *. Array.unsafe_get st.fz i))
+   the endpoint scan have validated every index source (node ids in
+   [0, n), so [6 * id + f] in [0, 6n)). *)
+let[@inline] update_i_u nd i =
+  let b = 6 * i in
+  Array.unsafe_set nd b
+    (Array.unsafe_get nd b +. (dt *. Array.unsafe_get nd (b + 3)));
+  Array.unsafe_set nd (b + 1)
+    (Array.unsafe_get nd (b + 1) +. (dt *. Array.unsafe_get nd (b + 4)));
+  Array.unsafe_set nd (b + 2)
+    (Array.unsafe_get nd (b + 2) +. (dt *. Array.unsafe_get nd (b + 5)))
 
-let force_j_u st j =
-  let l = Array.unsafe_get st.left j and r = Array.unsafe_get st.right j in
-  let dx = Array.unsafe_get st.x l -. Array.unsafe_get st.x r in
-  let dy = Array.unsafe_get st.y l -. Array.unsafe_get st.y r in
-  let dz = Array.unsafe_get st.z l -. Array.unsafe_get st.z r in
+let[@inline] force_j_u nd left right j =
+  let l = 6 * Array.unsafe_get left j and r = 6 * Array.unsafe_get right j in
+  let dx = Array.unsafe_get nd l -. Array.unsafe_get nd r in
+  let dy = Array.unsafe_get nd (l + 1) -. Array.unsafe_get nd (r + 1) in
+  let dz = Array.unsafe_get nd (l + 2) -. Array.unsafe_get nd (r + 2) in
   let r2 = (dx *. dx) +. (dy *. dy) +. (dz *. dz) +. 1.0 in
   let ir2 = 1.0 /. r2 in
   let ir6 = ir2 *. ir2 *. ir2 in
   let g = ((2.0 *. ir6 *. ir6) -. ir6) *. ir2 in
-  Array.unsafe_set st.fx l (Array.unsafe_get st.fx l +. (g *. dx));
-  Array.unsafe_set st.fx r (Array.unsafe_get st.fx r -. (g *. dx));
-  Array.unsafe_set st.fy l (Array.unsafe_get st.fy l +. (g *. dy));
-  Array.unsafe_set st.fy r (Array.unsafe_get st.fy r -. (g *. dy));
-  Array.unsafe_set st.fz l (Array.unsafe_get st.fz l +. (g *. dz));
-  Array.unsafe_set st.fz r (Array.unsafe_get st.fz r -. (g *. dz))
+  Array.unsafe_set nd (l + 3) (Array.unsafe_get nd (l + 3) +. (g *. dx));
+  Array.unsafe_set nd (r + 3) (Array.unsafe_get nd (r + 3) -. (g *. dx));
+  Array.unsafe_set nd (l + 4) (Array.unsafe_get nd (l + 4) +. (g *. dy));
+  Array.unsafe_set nd (r + 4) (Array.unsafe_get nd (r + 4) -. (g *. dy));
+  Array.unsafe_set nd (l + 5) (Array.unsafe_get nd (l + 5) +. (g *. dz));
+  Array.unsafe_set nd (r + 5) (Array.unsafe_get nd (r + 5) -. (g *. dz))
 
 (* Chain position c executes loop (c mod 2): a 2-loop schedule is one
    time step, a 2S-loop schedule is S time steps (time-step tiling).
@@ -108,6 +111,7 @@ let run_tiled_st st (sched : Reorder.Schedule.t) ~steps =
   if not (Reorder.Schedule.check_fits sched ~loop_sizes:[| st.n; st.m |]) then
     invalid_arg "Nbf.run_tiled: schedule does not fit the kernel";
   check_endpoints_cached st ~who:"Nbf.run_tiled";
+  let nd = st.nodes and left = st.left and right = st.right in
   let n_tiles = Reorder.Schedule.n_tiles sched in
   let n_chain = Reorder.Schedule.n_loops sched in
   let rp = Reorder.Schedule.row_ptr sched in
@@ -119,11 +123,11 @@ let run_tiled_st st (sched : Reorder.Schedule.t) ~steps =
         let lo = Array.unsafe_get rp r and hi = Array.unsafe_get rp (r + 1) in
         if c mod 2 = 0 then
           for idx = lo to hi - 1 do
-            update_i_u st (Array.unsafe_get fl idx)
+            update_i_u nd (Array.unsafe_get fl idx)
           done
         else
           for idx = lo to hi - 1 do
-            force_j_u st (Array.unsafe_get fl idx)
+            force_j_u nd left right (Array.unsafe_get fl idx)
           done
       done
     done
@@ -137,31 +141,32 @@ let plan_par_st st ~pool sched ~level_of =
   if not (Reorder.Schedule.check_fits sched ~loop_sizes:[| st.n; st.m |]) then
     invalid_arg "Nbf.plan_par: schedule does not fit the kernel";
   check_endpoints_cached st ~who:"Nbf.plan_par";
+  let nd = st.nodes and left = st.left and right = st.right in
   let gx = Array.make st.m 0.0 in
   let gy = Array.make st.m 0.0 in
   let gz = Array.make st.m 0.0 in
   let exec =
     Rtrt_par.Exec.make ~pool ~sched ~level_of
       ~is_reduction:(fun c -> c mod 2 = 1)
-      ~left:st.left ~right:st.right ~n_data:st.n
+      ~left ~right ~n_data:st.n
   in
   let body ~pos items lo hi =
     if pos mod 2 = 0 then
       for idx = lo to hi - 1 do
-        update_i_u st (Array.unsafe_get items idx)
+        update_i_u nd (Array.unsafe_get items idx)
       done
     else
       for idx = lo to hi - 1 do
-        force_j_u st (Array.unsafe_get items idx)
+        force_j_u nd left right (Array.unsafe_get items idx)
       done
   in
   let stash ~pos:_ items lo hi =
     for idx = lo to hi - 1 do
       let j = Array.unsafe_get items idx in
-      let l = Array.unsafe_get st.left j and r = Array.unsafe_get st.right j in
-      let dx = Array.unsafe_get st.x l -. Array.unsafe_get st.x r in
-      let dy = Array.unsafe_get st.y l -. Array.unsafe_get st.y r in
-      let dz = Array.unsafe_get st.z l -. Array.unsafe_get st.z r in
+      let l = 6 * Array.unsafe_get left j and r = 6 * Array.unsafe_get right j in
+      let dx = Array.unsafe_get nd l -. Array.unsafe_get nd r in
+      let dy = Array.unsafe_get nd (l + 1) -. Array.unsafe_get nd (r + 1) in
+      let dz = Array.unsafe_get nd (l + 2) -. Array.unsafe_get nd (r + 2) in
       let r2 = (dx *. dx) +. (dy *. dy) +. (dz *. dz) +. 1.0 in
       let ir2 = 1.0 /. r2 in
       let ir6 = ir2 *. ir2 *. ir2 in
@@ -172,19 +177,19 @@ let plan_par_st st ~pool sched ~level_of =
     done
   in
   let apply ~pos:_ ~datum refs lo hi =
-    let fx = st.fx and fy = st.fy and fz = st.fz in
+    let f = (6 * datum) + 3 in
     for k = lo to hi - 1 do
       let rv = refs.(k) in
       let j = rv lsr 1 in
       if rv land 1 = 0 then begin
-        fx.(datum) <- fx.(datum) +. gx.(j);
-        fy.(datum) <- fy.(datum) +. gy.(j);
-        fz.(datum) <- fz.(datum) +. gz.(j)
+        nd.(f) <- nd.(f) +. gx.(j);
+        nd.(f + 1) <- nd.(f + 1) +. gy.(j);
+        nd.(f + 2) <- nd.(f + 2) +. gz.(j)
       end
       else begin
-        fx.(datum) <- fx.(datum) -. gx.(j);
-        fy.(datum) <- fy.(datum) -. gy.(j);
-        fz.(datum) <- fz.(datum) -. gz.(j)
+        nd.(f) <- nd.(f) -. gx.(j);
+        nd.(f + 1) <- nd.(f + 1) -. gy.(j);
+        nd.(f + 2) <- nd.(f + 2) -. gz.(j)
       end
     done
   in
@@ -259,19 +264,13 @@ let rec make ~access st =
     let left, right, access =
       Kernel.relabel_pairs ~n_data:st.n ?sigma ?delta st.left st.right
     in
-    let node = Kernel.scatter sigma in
     make ~access
       {
         st with
         endpoints_ok = false;
         left;
         right;
-        x = node st.x;
-        y = node st.y;
-        z = node st.z;
-        fx = node st.fx;
-        fy = node st.fy;
-        fz = node st.fz;
+        nodes = Kernel.scatter_group ~fields sigma st.nodes;
       }
   in
   {
@@ -289,10 +288,7 @@ let rec make ~access st =
     relabel;
     run = (fun ~steps -> run_plain st ~steps);
     run_tiled = (fun sched ~steps -> run_tiled_st st sched ~steps);
-    exec_arrays =
-      (fun () ->
-        ( [| st.left; st.right |],
-          [| st.x; st.y; st.z; st.fx; st.fy; st.fz |] ));
+    exec_arrays = (fun () -> ([| st.left; st.right |], [| st.nodes |]));
     run_traced =
       (fun ~steps ~layout ~access -> run_traced_st st ~steps ~layout ~access);
     run_tiled_traced =
@@ -301,15 +297,7 @@ let rec make ~access st =
     plan_par =
       (fun ~pool sched ~level_of -> plan_par_st st ~pool sched ~level_of);
     snapshot =
-      (fun () ->
-        [
-          ("x", Array.copy st.x);
-          ("y", Array.copy st.y);
-          ("z", Array.copy st.z);
-          ("fx", Array.copy st.fx);
-          ("fy", Array.copy st.fy);
-          ("fz", Array.copy st.fz);
-        ]);
+      (fun () -> Kernel.ungroup ~names:node_array_names st.nodes);
     copy = (fun () -> relabel ());
   }
 
@@ -321,17 +309,20 @@ let of_dataset (d : Datagen.Dataset.t) =
   let n = d.Datagen.Dataset.n_nodes in
   let m = Datagen.Dataset.n_interactions d in
   let left = d.Datagen.Dataset.left and right = d.Datagen.Dataset.right in
+  (* Forces start at zero. *)
+  let nodes = Array.make (fields * n) 0.0 in
+  for i = 0 to n - 1 do
+    let b = fields * i in
+    nodes.(b) <- init_value ~salt:11 i;
+    nodes.(b + 1) <- init_value ~salt:12 i;
+    nodes.(b + 2) <- init_value ~salt:13 i
+  done;
   make ~access:(Reorder.Access.of_pairs ~n_data:n left right)
     {
       n;
       m;
       left = Array.copy left;
       right = Array.copy right;
-      x = Array.init n (init_value ~salt:11);
-      y = Array.init n (init_value ~salt:12);
-      z = Array.init n (init_value ~salt:13);
-      fx = Array.make n 0.0;
-      fy = Array.make n 0.0;
-      fz = Array.make n 0.0;
+      nodes;
       endpoints_ok = false;
     }

@@ -1,4 +1,5 @@
-(** The nbf benchmark (6 node arrays, 48 B/node; i/j loop chain) as a {!Kernel.t}. *)
+(** The nbf benchmark (6 node fields regrouped into one 48-B record per
+    node, [x y z fx fy fz]; i/j loop chain) as a {!Kernel.t}. *)
 
 (** Build the kernel over a dataset's interaction list, with
     deterministic initial conditions derived from node ids. *)

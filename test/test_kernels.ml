@@ -264,9 +264,15 @@ let prop_gs_tiled_equals_plain =
       Kernels.Gauss_seidel.run_tiled t2 tiling;
       Array.for_all2 ( = ) t1.Kernels.Gauss_seidel.u t2.Kernels.Gauss_seidel.u)
 
+(* The float arrays [exec_arrays] hands out, per kernel: a node array
+   regrouping k fields (node i's field f at [k*i + f]; cg keeps k = 1
+   per field) or a per-interaction array. *)
+type float_storage = Node_fields of int | Per_inter
+
 (* [relabel ?sigma ?delta ()] against a reference assembled from the
-   single-purpose [Perm] helpers over [exec_arrays]: index arrays moved
-   through delta then remapped through sigma, node arrays scattered
+   single-purpose [Perm] helpers: index arrays moved through delta then
+   remapped through sigma, each named node field (from [snapshot], and
+   de-interleaved from [exec_arrays]'s regrouped storage) scattered
    through sigma, per-interaction arrays through delta. Repair's
    regrowth oracle replays through the same [relabel], so this is the
    check that can catch a bug in it. Absent, identity and random
@@ -274,22 +280,23 @@ let prop_gs_tiled_equals_plain =
 let prop_relabel_matches_reference =
   let of_datasets =
     [|
-      ("moldyn", Kernels.Moldyn.of_dataset);
-      ("nbf", Kernels.Nbf.of_dataset);
-      ("irreg", Kernels.Irreg.of_dataset);
-      ("cg", Kernels.Cg.of_dataset);
+      ("moldyn", Kernels.Moldyn.of_dataset, [ Node_fields 9 ]);
+      ("nbf", Kernels.Nbf.of_dataset, [ Node_fields 6 ]);
+      ("irreg", Kernels.Irreg.of_dataset, [ Per_inter; Node_fields 2 ]);
+      ( "cg",
+        Kernels.Cg.of_dataset,
+        List.init 6 (fun _ -> Node_fields 1) @ [ Per_inter ] );
     |]
   in
+  let kernel_name (name, _, _) = name in
   let arb =
     QCheck.make
       ~print:(fun (ki, n, pairs, seed, sk, dk) ->
         Printf.sprintf "%s n=%d m=%d seed=%d sigma=%d delta=%d"
-          (fst of_datasets.(ki)) n (Array.length pairs) seed sk dk)
+          (kernel_name of_datasets.(ki)) n (Array.length pairs) seed sk dk)
       QCheck.Gen.(
         let* ki = int_range 0 (Array.length of_datasets - 1) in
         let* n = int_range 4 30 in
-        (* m > n, so array lengths tell node arrays from
-           per-interaction ones. *)
         let* m = int_range (n + 1) 90 in
         let* pairs =
           array_repeat m (pair (int_range 0 (n - 1)) (int_range 0 (n - 1)))
@@ -311,7 +318,8 @@ let prop_relabel_matches_reference =
           coords = None;
         }
       in
-      let k = (snd of_datasets.(ki)) d in
+      let _, of_dataset, storage = of_datasets.(ki) in
+      let k = of_dataset d in
       (* One plain step first, so every float array holds distinct
          values worth moving. *)
       k.K.run ~steps:1;
@@ -329,10 +337,27 @@ let prop_relabel_matches_reference =
       let ia, fa = k.K.exec_arrays () in
       let saved_ia = Array.map Array.copy ia and saved_fa = Array.map Array.copy fa in
       let ref_ia = Array.map (fun a -> P.remap_values s (P.apply_to_array dl a)) ia in
+      (* A regrouped array moves field by field: de-interleave, scatter
+         through sigma, re-interleave. *)
+      let scatter_fields fields a =
+        let out = Array.make (Array.length a) nan in
+        for f = 0 to fields - 1 do
+          let moved =
+            P.apply_to_float_array s
+              (Array.init n (fun i -> a.((fields * i) + f)))
+          in
+          Array.iteri (fun i x -> out.((fields * i) + f) <- x) moved
+        done;
+        out
+      in
       let ref_fa =
-        Array.map
-          (fun a -> P.apply_to_float_array (if Array.length a = n then s else dl) a)
-          fa
+        Array.of_list
+          (List.map2
+             (fun kind a ->
+               match kind with
+               | Node_fields fields -> scatter_fields fields a
+               | Per_inter -> P.apply_to_float_array dl a)
+             storage (Array.to_list fa))
       in
       let ref_access = Reorder.Access.of_pairs ~n_data:n ref_ia.(0) ref_ia.(1) in
       let k' = k.K.relabel ?sigma ?delta () in
@@ -381,6 +406,95 @@ let prop_relabel_matches_reference =
       let source_ok = ia = saved_ia && floats_equal fa saved_fa in
       fresh && arrays_ok && access_ok && snapshot_ok && run_ok && source_ok)
 
+(* An FNV-1a digest of a snapshot's names and IEEE bit patterns. *)
+let snapshot_digest snap =
+  let module F = Rtrt_plancache.Fingerprint in
+  let b = F.create () in
+  List.iter
+    (fun (name, a) ->
+      F.add_string b name;
+      F.add_int b (Array.length a);
+      Array.iter (F.add_float b) a)
+    snap;
+  F.to_hex (F.value b)
+
+(* Golden digests of a 3-step plain run and a 3-step CLCL+FST tiled
+   run, pinned from the separate-array executors that preceded the
+   regrouped node storage: every executor must keep reproducing them
+   bit for bit. The closeness tests above cannot see a reordered
+   statement, because plain and tiled executors would change
+   together. *)
+let golden_digests =
+  [
+    ("moldyn", "0e408cdbc87673dd", "e511c37365e71231");
+    ("nbf", "23dce920303a4acf", "dc2f787f6736aad2");
+    ("irreg", "d6ee92ea47f1cc21", "bac3bc5d607dafd2");
+  ]
+
+let test_golden_digests () =
+  let clcl_fst =
+    Compose.Plan.with_fst ~seed_part_size:16 Compose.Plan.cpack_lexgroup_twice
+  in
+  List.iter
+    (fun (name, (k : Kernels.Kernel.t)) ->
+      match List.find_opt (fun (n, _, _) -> n = name) golden_digests with
+      | None -> ()
+      | Some (_, plain, tiled) ->
+        Alcotest.(check string)
+          (name ^ " plain digest") plain
+          (snapshot_digest (reference k ~steps:3));
+        let r = Compose.Inspector.run clcl_fst k in
+        let t = r.Compose.Inspector.kernel.Kernels.Kernel.copy () in
+        t.Kernels.Kernel.run_tiled
+          (Option.get r.Compose.Inspector.schedule)
+          ~steps:3;
+        Alcotest.(check string)
+          (name ^ " tiled digest") tiled
+          (snapshot_digest (t.Kernels.Kernel.snapshot ())))
+    (kernels ())
+
+(* The host stores what the cache model simulates: the regrouped node
+   array (last of [exec_arrays]'s floats) holds node i's field f at
+   [k*i + f], equal to [snapshot]'s value for that field, and
+   [Kernel.layout] puts that element exactly [8 * (k*i + f)] bytes past
+   the node group's base. *)
+let test_host_layout_is_model_layout () =
+  List.iter
+    (fun (name, (k : Kernels.Kernel.t)) ->
+      if name <> "cg" then begin
+        let k = k.Kernels.Kernel.copy () in
+        (* One step first, so every field holds distinct values. *)
+        k.Kernels.Kernel.run ~steps:1;
+        let n = k.Kernels.Kernel.n_nodes in
+        let names = k.Kernels.Kernel.node_array_names in
+        let fields = List.length names in
+        let _, fa = k.Kernels.Kernel.exec_arrays () in
+        let nodes = fa.(Array.length fa - 1) in
+        Alcotest.(check int) (name ^ " regrouped length") (fields * n)
+          (Array.length nodes);
+        let snap = k.Kernels.Kernel.snapshot () in
+        let layout = Kernels.Kernel.layout k in
+        let base = Cachesim.Layout.address layout (List.hd names) 0 in
+        List.iteri
+          (fun f field ->
+            let values = List.assoc field snap in
+            let value_ok = ref true and address_ok = ref true in
+            for i = 0 to n - 1 do
+              let at = (fields * i) + f in
+              if
+                Int64.bits_of_float nodes.(at)
+                <> Int64.bits_of_float values.(i)
+              then value_ok := false;
+              if Cachesim.Layout.address layout field i - base <> 8 * at then
+                address_ok := false
+            done;
+            Alcotest.(check bool) (name ^ " " ^ field ^ " value") true !value_ok;
+            Alcotest.(check bool)
+              (name ^ " " ^ field ^ " model address") true !address_ok)
+          names
+      end)
+    (kernels ())
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -397,6 +511,9 @@ let () =
           Alcotest.test_case "trace counts match" `Quick test_trace_counts_match;
           Alcotest.test_case "bytes per node" `Quick test_bytes_per_node;
           Alcotest.test_case "copy isolates" `Quick test_copy_isolates;
+          Alcotest.test_case "golden digests" `Quick test_golden_digests;
+          Alcotest.test_case "host layout is the model layout" `Quick
+            test_host_layout_is_model_layout;
         ] );
       ( "gauss-seidel",
         [

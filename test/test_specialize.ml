@@ -294,6 +294,55 @@ let test_compile_failure_cleans_up () =
       in
       Alcotest.(check (list string)) "no scratch files left" [] leftovers)
 
+(* The emitted bodies index the handed-off arrays unsafely, so a
+   handoff whose lengths differ from what the emitter assumes (here a
+   regrouped node array one double short, or a short index array) must
+   never reach compiled code: [make] falls back to the interpreted walk,
+   counts exactly one fallback, and runs bitwise like [run_tiled]. *)
+let test_short_handoff_falls_back () =
+  with_metrics (fun () ->
+      let d = Datagen.Generators.foil ~scale:512 () in
+      let fallbacks = Rtrt_obs.Metrics.counter "specialize.fallbacks" in
+      List.iter
+        (fun (name, of_dataset) ->
+          let k : Kernels.Kernel.t = of_dataset d in
+          let sched =
+            sched_of ~n_tiles:4
+              (fun ~size i -> i * 4 / size)
+              k.Kernels.Kernel.loop_sizes
+          in
+          let ia, fa = k.Kernels.Kernel.exec_arrays () in
+          let shorten a = Array.sub a 0 (Array.length a - 1) in
+          let last = Array.length fa - 1 in
+          let short_nodes =
+            Array.mapi (fun i a -> if i = last then shorten a else a) fa
+          in
+          let short_index = Array.mapi (fun i a -> if i = 0 then shorten a else a) ia in
+          List.iter
+            (fun (what, handoff) ->
+              let bad = { k with Kernels.Kernel.exec_arrays = (fun () -> handoff) } in
+              let before = Rtrt_obs.Metrics.value fallbacks in
+              let r = Specialize.make ~tier_b:true bad sched in
+              Alcotest.(check string)
+                (Printf.sprintf "%s %s: interpreted walk" name what)
+                "interp"
+                (Specialize.tier_name r.Specialize.tier);
+              Alcotest.(check int)
+                (Printf.sprintf "%s %s: one fallback counted" name what)
+                (before + 1)
+                (Rtrt_obs.Metrics.value fallbacks);
+              let reference = k.Kernels.Kernel.copy () in
+              reference.Kernels.Kernel.run_tiled sched ~steps:2;
+              r.Specialize.run ~steps:2;
+              Alcotest.(check bool)
+                (Printf.sprintf "%s %s: bitwise run_tiled" name what)
+                true
+                (Kernels.Kernel.snapshots_equal_bits
+                   (reference.Kernels.Kernel.snapshot ())
+                   (k.Kernels.Kernel.snapshot ())))
+            [ ("short node array", (ia, short_nodes)); ("short index array", (short_index, fa)) ])
+        kernels_under_test)
+
 (* ------------------------------------------------------------------ *)
 (* Validated-once memos (satellite: skip O(rows) re-validation on
    plan-cache hits) *)
@@ -385,6 +434,8 @@ let () =
             test_no_toolchain_fallback;
           Alcotest.test_case "compile failure cleans up" `Quick
             test_compile_failure_cleans_up;
+          Alcotest.test_case "short handoff falls back" `Quick
+            test_short_handoff_falls_back;
         ]
         @ qsuite [ prop_codegen_random ] );
       ( "memos",
